@@ -42,6 +42,10 @@ FULL_SIZE = (400, 2000)
 QUICK_WORKERS = (1, 2)
 FULL_WORKERS = (1, 2, 4)
 SOURCE = 0
+#: Columns of the printed table and fields of the JSON section's runs.
+ROW_FIELDS = ("workers", "tuples", "wall_s", "tuples_per_s", "commits",
+              "wakeups", "frames", "master_blocked_s", "intake_batches",
+              "reports", "worker_blocked_s")
 
 
 def _digest(distances: dict[Any, float]) -> str:
@@ -72,12 +76,34 @@ def _run_live(edges: list, n_workers: int, timeout: float) -> dict[str, Any]:
         wall = time.perf_counter() - started
         distances = _finite(job.main_values())
         commits = job.total_commits
+        pump = _pump_counters(job)
     finally:
         job.shutdown()
     return {"workers": n_workers, "tuples": len(stream), "wall_s": wall,
             "tuples_per_s": len(stream) / wall if wall > 0 else 0.0,
             "commits": commits, "digest": _digest(distances),
-            "distances": distances}
+            "distances": distances, **pump}
+
+
+def _pump_counters(job: Any) -> dict[str, Any]:
+    """The master's ``live.pump.*`` counters and the workers' loop
+    counters summed — what the wall-clock column is made of."""
+    master = job.metrics.snapshot()
+    workers = list(job.worker_stats().values())
+
+    def total(field: str) -> float:
+        return sum(stats[field] for stats in workers)
+
+    return {
+        "wakeups": int(master["live.pump.wakeups"]),
+        "frames": int(master["live.pump.frames"]),
+        "master_blocked_s": master["live.pump.blocked_s"],
+        "intake_batches": int(total("intake_batches")),
+        "reports": "/".join(str(int(total(field))) for field in
+                            ("reports_tick", "reports_idle",
+                             "reports_quiet_edge")),
+        "worker_blocked_s": total("blocked_s"),
+    }
 
 
 def run_live_bench(quick: bool = False,
@@ -100,16 +126,15 @@ def run_live_bench(quick: bool = False,
     result = ExperimentResult(
         experiment="live",
         title="Live backend: SSSP wall-clock vs worker count",
-        columns=["workers", "tuples", "wall_s", "tuples_per_s", "commits"],
+        columns=list(ROW_FIELDS),
         notes=("backend=\"live\" (one OS process per worker, spawn), "
                "wall time includes process startup and final-report "
-               "collection; digest is over final finite distances"),
+               "collection; digest is over final finite distances; "
+               "wakeups/frames/master_blocked_s are the master pump's, "
+               "reports = tick/idle/quiet-edge summed over workers"),
     )
     for run in runs:
-        result.add_row(workers=run["workers"], tuples=run["tuples"],
-                       wall_s=run["wall_s"],
-                       tuples_per_s=run["tuples_per_s"],
-                       commits=run["commits"])
+        result.add_row(**{field: run[field] for field in ROW_FIELDS})
     result.check("every worker count matches Dijkstra exactly",
                  all(run["distances"] == reference for run in runs),
                  f"{len(reference)} reachable vertices")
@@ -124,8 +149,7 @@ def run_live_bench(quick: bool = False,
         "python": platform.python_version(),
         "graph": {"n_vertices": n_vertices, "n_edges": n_edges},
         "digest": runs[0]["digest"],
-        "runs": [{k: run[k] for k in ("workers", "tuples", "wall_s",
-                                      "tuples_per_s", "commits")}
+        "runs": [{field: run[field] for field in ROW_FIELDS}
                  for run in runs],
     }
     result.extras["report"] = report

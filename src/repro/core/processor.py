@@ -142,6 +142,8 @@ class Processor(Actor):
         self._report_timer_running = False
         self._flush_in_flight = False
         self._work_since_report = True
+        # The reports of the latest flush (what the master was told).
+        self._last_reports: list[ProgressReport] = []
         self.total_commits = 0
         self.total_updates_gathered = 0
         self.total_prepares = 0
@@ -1416,40 +1418,67 @@ class Processor(Actor):
                 and self._work_since_report):
             self._flush_then_report()
 
+    def report_if_evidence_changed(self) -> bool:
+        """Report now if the master's view of this processor is stale;
+        returns whether a report went out.  For drivers that block
+        between messages (the live worker calls this right before it
+        waits on its queue; the simulator never does): a transport ack
+        that empties ``pending_by_tag`` changes the evidence the
+        convergence predicate reads without passing ``_dispatch``, so
+        neither ``on_idle`` nor anything short of the next report tick
+        would tell the master.  Watermarks and counters only move inside
+        ``_dispatch``, which sets ``_work_since_report`` — the flag
+        covers them, the comparison covers the transport."""
+        if self.down or self._flush_in_flight:
+            return False
+        if not self._work_since_report:
+            reported = {report.loop: (report.unacked, report.buffered)
+                        for report in self._last_reports}
+            current = {loop.name: self._loop_evidence(loop)
+                       for loop in self.loops.values()}
+            if current == reported:
+                return False
+        self._flush_then_report()
+        return True
+
+    def _loop_evidence(self, loop: LoopState) -> tuple[int, int]:
+        """``(unacked, buffered)`` as a progress report states them."""
+        unacked = self.transport.pending_by_tag.get(loop.name, 0)
+        buffered = len(loop.buffered_updates)
+        if loop.is_main:
+            # In-flight handoff traffic blocks main-loop convergence
+            # the same way unacked session messages do.
+            unacked += self.transport.pending_by_tag.get("migration", 0)
+            buffered += sum(len(held) for held
+                            in self._migration_buffer.values())
+        return unacked, buffered
+
     def _flush_then_report(self) -> None:
         """Snapshot counters, flush the versions they cover, then report.
         Progress the master sees is therefore always durable (paper §5.3)."""
         if self._flush_in_flight:
             return
         self._work_since_report = False
-        snapshots = []
+        snapshots = self._last_reports = []
         total_pending = 0
         for loop in self.loops.values():
             self._report_seq += 1
             hot: tuple = ()
             vertex_load: tuple = ()
-            unacked = self.transport.pending_by_tag.get(loop.name, 0)
-            buffered = len(loop.buffered_updates)
+            unacked, buffered = self._loop_evidence(loop)
             if loop.is_main and loop.recent_commit_counts:
                 ranked = sorted(loop.recent_commit_counts,
                                 key=loop.recent_commit_counts.get,
                                 reverse=True)
                 hot = tuple(ranked[:3])
                 loop.recent_commit_counts = {}
-            if loop.is_main:
-                if loop.recent_gather_counts:
-                    counts = loop.recent_gather_counts
-                    ranked = sorted(counts,
-                                    key=lambda v: (-counts[v], str(v)))
-                    top = ranked[:self.config.migration_report_top_k]
-                    vertex_load = tuple((v, counts[v]) for v in top)
-                    loop.recent_gather_counts = {}
-                # In-flight handoff traffic blocks main-loop convergence
-                # the same way unacked session messages do.
-                unacked += self.transport.pending_by_tag.get(
-                    "migration", 0)
-                buffered += sum(len(held) for held
-                                in self._migration_buffer.values())
+            if loop.is_main and loop.recent_gather_counts:
+                counts = loop.recent_gather_counts
+                ranked = sorted(counts,
+                                key=lambda v: (-counts[v], str(v)))
+                top = ranked[:self.config.migration_report_top_k]
+                vertex_load = tuple((v, counts[v]) for v in top)
+                loop.recent_gather_counts = {}
             snapshots.append(ProgressReport(
                 loop=loop.name,
                 processor=self.name,

@@ -106,6 +106,11 @@ class ProgressTracker:
         buffered = sum(view.buffered for view in self._views.values())
         return unacked, buffered
 
+    def view(self, processor: str) -> _ProcessorView | None:
+        """The latest report folded in from ``processor`` (read-only:
+        per-processor stall diagnostics)."""
+        return self._views.get(processor)
+
     def min_watermark(self) -> float:
         return min((view.watermark for view in self._views.values()),
                    default=math.inf)

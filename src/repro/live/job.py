@@ -4,10 +4,19 @@
 actually constructs.  It hosts the unmodified :class:`Master` and
 :class:`Ingester` actors (plus the authoritative store and checkpoint
 manifest) on a :class:`LiveKernel` in the calling process, spawns one OS
-process per Tornado processor, and runs a ``split_managed``-style pump:
-drain worker queues, run ready actor work, fire wall-clock timers,
-release parked stream feeds when idle, and decide convergence from the
-same :class:`ProgressTracker` evidence the simulator uses.
+process per Tornado processor, and runs a ``split_managed``-style pump.
+
+The pump is event-driven.  A *pass* (:meth:`LiveJob._pump_once`) drains
+what the workers have sent (at most :data:`DRAIN_SLICE` frames per
+worker), runs the ready actor work and fires the due wall-clock timers;
+passes repeat while they find work, and parked stream feeds are released
+when one finds none.  Then the master *blocks* in :meth:`LiveJob._wait`:
+``multiprocessing.connection.wait`` on every live worker's outbound pipe
+and process sentinel, until a frame arrives, a worker dies, the next
+master-side timer is due or the caller's deadline passes — it never
+polls.  Convergence is decided from the same :class:`ProgressTracker`
+evidence the simulator uses, confirmed over :data:`IDLE_CONFIRMATIONS`
+looks :data:`CONFIRM_PACING` apart during which nothing may arrive.
 
 What it deliberately does **not** support yet: branch-loop queries and
 the live rebalancer (both raise) — the main loop, crash recovery and the
@@ -21,7 +30,8 @@ import atexit
 import multiprocessing
 import queue
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
+from multiprocessing.connection import wait as wait_any
 from typing import Any, Callable, Iterable
 
 from repro.core.config import TornadoConfig
@@ -37,7 +47,7 @@ from repro.live.transport import MasterNet
 from repro.live.wire import (Collect, FetchStore, FinalReport, Shutdown,
                              StoreLoad, StoreWrite, Wire, WorkerError,
                              WorkerSpec)
-from repro.live.worker import worker_main
+from repro.live.worker import LoopStats, worker_main
 from repro.obs import TraceRecorder
 from repro.storage import CheckpointManifest, VersionedStore
 from repro.streams.model import StreamTuple
@@ -47,6 +57,12 @@ DRAIN_SLICE = 256
 #: Consecutive idle passes with the convergence predicate true before
 #: the pump declares the run converged.
 IDLE_CONFIRMATIONS = 3
+#: Seconds the pump waits between two such passes; a frame arriving
+#: meanwhile wakes it at once and voids the confirmations so far.
+CONFIRM_PACING = 0.002
+#: ``FinalReport`` fields :meth:`LiveJob.worker_stats` surfaces.
+WORKER_STAT_FIELDS = (*(field.name for field in fields(LoopStats)),
+                      "frames_out")
 
 
 @dataclass
@@ -58,8 +74,8 @@ class _WorkerLink:
     process: Any
     incarnation: int
     alive: bool = True
-    #: Set when the driver killed it on purpose (fault injection).
-    expected_down: bool = field(default=False)
+    #: Frames drained from ``queue_out`` (timeout diagnostics).
+    frames: int = 0
 
 
 class LiveJob(TornadoJob):
@@ -102,6 +118,10 @@ class LiveJob(TornadoJob):
                                  self.MASTER)
         #: Final reports gathered by the last :meth:`finalize` barrier.
         self.reports: dict[str, FinalReport] = {}
+        metrics = self.kernel.metrics
+        self._m_wakeups = metrics.counter("live.pump.wakeups")
+        self._m_blocked = metrics.counter("live.pump.blocked_s")
+        self._m_frames = metrics.counter("live.pump.frames")
         self._ctx = multiprocessing.get_context("spawn")
         self._closed = False
         atexit.register(self.shutdown)
@@ -128,12 +148,15 @@ class LiveJob(TornadoJob):
         network's down-actor drop; reliable-transport retransmits and
         the recovery protocol pick up the pieces after a respawn."""
         link = self._links[name]
-        link.alive = False
-        link.expected_down = True
+        link.alive = False      # out of the wait set from here on
         link.process.kill()
         link.process.join(timeout=10)
         link.queue_in.close()
         link.queue_in.cancel_join_thread()
+        # What the incarnation had already sent is handled now (a
+        # WorkerError among it raises here); nothing reads its pipe again.
+        self._drain_dead(link)
+        link.queue_out.close()
 
     def respawn_worker(self, name: str) -> None:
         """Restart a killed worker as a fresh incarnation.  It hydrates
@@ -145,11 +168,30 @@ class LiveJob(TornadoJob):
         self._spawn(name, incarnation=link.incarnation + 1,
                     recovering=True)
 
-    def _check_workers(self) -> None:
+    def _wait(self, limit: float, pacing: float | None = None) -> None:
+        """Block until a worker has sent something, a worker process has
+        exited, the next master-side timer is due, or ``limit`` (and
+        ``pacing``, if given) seconds have passed — whichever is first.
+        A worker found dead raises, with its traceback if it left one."""
+        timeout = min(bound for bound in
+                      (limit, pacing, self.kernel.next_timer_delay())
+                      if bound is not None)
+        waitables = []
+        for link in self._links.values():
+            if link.alive:
+                # The queue's read end of its pipe: readable exactly
+                # when ``get_nowait`` would find a frame.
+                waitables.append(link.queue_out._reader)
+                waitables.append(link.process.sentinel)
+        started = time.monotonic()
+        ready = wait_any(waitables, timeout)
+        self._m_blocked.inc(time.monotonic() - started)
+        self._m_wakeups.inc()
         for name, link in self._links.items():
-            if link.alive and link.process.exitcode is not None:
+            if link.alive and link.process.sentinel in ready:
                 link.alive = False
-                self._drain_link(link)  # surface a WorkerError if any
+                self._drain_dead(link)  # surface a WorkerError if any
+                link.process.join(timeout=1.0)
                 raise RuntimeError(
                     f"live worker {name!r} died unexpectedly "
                     f"(exit code {link.process.exitcode})")
@@ -191,17 +233,38 @@ class LiveJob(TornadoJob):
                 break
             drained += 1
             self._handle_item(item)
+        link.frames += drained
+        self._m_frames.inc(drained)
         return drained
+
+    def _drain_dead(self, link: _WorkerLink) -> None:
+        """Handle everything a dead incarnation left on its pipe."""
+        while self._drain_link(link):
+            pass
 
     def _pump_once(self) -> bool:
         """One pump pass; returns whether any work happened."""
         progressed = 0
         for link in self._links.values():
-            if link.alive or link.expected_down:
+            if link.alive:
                 progressed += self._drain_link(link)
         progressed += self.kernel.run_ready(limit=4096)
         progressed += self.kernel.fire_due_timers()
         return progressed > 0
+
+    def _release_parked(self) -> bool:
+        """Release parked stream feeds once the master is otherwise idle
+        and every live worker has been heard from (a fresh worker's first
+        report, a respawned one's FetchStore): inputs sent to a process
+        that is still booting only start retransmit clocks it cannot
+        answer in time.  Returns whether anything was released."""
+        if self.kernel.ready_count or not self.kernel.parked_count:
+            return False
+        if any(link.alive and not link.frames
+               for link in self._links.values()):
+            return False
+        self.kernel.release_parked()
+        return True
 
     def _converged(self) -> bool:
         tracker = self.master.trackers.get(MAIN_LOOP)
@@ -216,50 +279,45 @@ class LiveJob(TornadoJob):
         """Pump until the main loop converges (same evidence as the
         simulator: tracker watermarks, unacked and buffered counts).
         Returns the wall-clock seconds spent.  Raises ``TimeoutError``
-        with diagnostics if convergence is not reached in time."""
+        with per-worker diagnostics if convergence is not reached in
+        time."""
         started = time.monotonic()
         deadline = started + timeout
         idle_confirmations = 0
         while True:
-            self._check_workers()
             if self._pump_once():
                 idle_confirmations = 0
                 continue
-            if not self.kernel.ready_count and self.kernel.parked_count:
-                self.kernel.release_parked()
+            if self._release_parked():
                 continue
+            pacing = None
             if self._converged():
                 idle_confirmations += 1
                 if idle_confirmations >= IDLE_CONFIRMATIONS:
                     return time.monotonic() - started
+                pacing = CONFIRM_PACING
             else:
                 idle_confirmations = 0
-            if time.monotonic() >= deadline:
-                tracker = self.master.trackers.get(MAIN_LOOP)
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
                 raise TimeoutError(
-                    "live run did not converge within "
-                    f"{timeout:.0f}s (tracker started="
-                    f"{getattr(tracker, 'started', None)}, parked="
-                    f"{self.kernel.parked_count}, master unacked="
-                    f"{self.master.transport.unacked}, ingester unacked="
-                    f"{self.ingester.transport.unacked})")
-            time.sleep(0.002)
+                    f"live run did not converge within {timeout:g}s\n"
+                    + self.diagnostics())
+            self._wait(remaining, pacing)
 
     def pump_slice(self, passes: int = 64) -> int:
         """Bounded pump slice for a JobManager interleaving several live
         tenants: up to ``passes`` pump passes, stopping early when idle
-        (parked feeds are released once, then the slice yields).  Returns
-        the number of passes that did work."""
+        (parked feeds are released once, then the slice yields).  Never
+        blocks.  Returns the number of passes that did work."""
+        self._wait(0.0)     # dead workers only; the passes take the frames
         worked = 0
         released = False
         for _ in range(passes):
-            self._check_workers()
             if self._pump_once():
                 worked += 1
                 continue
-            if (not released and not self.kernel.ready_count
-                    and self.kernel.parked_count):
-                self.kernel.release_parked()
+            if not released and self._release_parked():
                 released = True
                 continue
             break
@@ -277,14 +335,35 @@ class LiveJob(TornadoJob):
         analogue of ``run_for`` — used to get a run mid-flight before
         injecting a fault)."""
         deadline = time.monotonic() + seconds
-        while time.monotonic() < deadline:
-            self._check_workers()
-            if self._pump_once():
-                continue
-            if not self.kernel.ready_count and self.kernel.parked_count:
-                self.kernel.release_parked()
-                continue
-            time.sleep(0.002)
+        while (remaining := deadline - time.monotonic()) > 0:
+            if not self._pump_once() and not self._release_parked():
+                self._wait(remaining)
+
+    def diagnostics(self) -> str:
+        """Where the deployment stands, one line for the master and one
+        per worker: what a ``TimeoutError`` of this module carries."""
+        tracker = self.master.trackers.get(MAIN_LOOP)
+        lines = [
+            f"master: tracker started={getattr(tracker, 'started', None)} "
+            f"frontier={getattr(tracker, 'frontier', None)} "
+            f"parked={self.kernel.parked_count} "
+            f"ready={self.kernel.ready_count} "
+            f"unacked={self.master.transport.unacked} "
+            f"ingester unacked={self.ingester.transport.unacked} "
+            f"dropped={self.net.dropped}"]
+        for name, link in self._links.items():
+            line = (f"{name}: alive={link.alive} "
+                    f"exitcode={link.process.exitcode} "
+                    f"incarnation={link.incarnation} "
+                    f"frames drained={link.frames}")
+            view = tracker.view(name) if tracker is not None else None
+            if view is not None:
+                line += (f" last report seq={view.seq} "
+                         f"unacked={view.unacked} "
+                         f"buffered={view.buffered} "
+                         f"watermark={view.watermark}")
+            lines.append(line)
+        return "\n".join(lines)
 
     # ------------------------------------------------------------- feeding
     def feed(self, tuples: Iterable[StreamTuple]) -> int:
@@ -339,12 +418,15 @@ class LiveJob(TornadoJob):
             self._links[name].queue_in.put(Collect())
         deadline = time.monotonic() + timeout
         while wanted - set(self.reports):
-            self._check_workers()
-            if time.monotonic() >= deadline:
+            if self._pump_once():
+                continue
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
                 missing = sorted(wanted - set(self.reports))
-                raise TimeoutError(f"no FinalReport from {missing}")
-            if not self._pump_once():
-                time.sleep(0.002)
+                raise TimeoutError(
+                    f"no FinalReport from {missing} within "
+                    f"{timeout:g}s\n" + self.diagnostics())
+            self._wait(remaining)
         return self.reports
 
     def main_values(self) -> dict[Any, Any]:
@@ -401,6 +483,16 @@ class LiveJob(TornadoJob):
         if not self.reports:
             self.finalize()
         return sum(report.wire_rows for report in self.reports.values())
+
+    def worker_stats(self) -> dict[str, dict[str, float]]:
+        """Each worker's loop counters as of the last :meth:`finalize`:
+        intake batches, frames in/out, reports by cause, seconds blocked
+        — the worker-side half of ``live.pump.*``."""
+        if not self.reports:
+            self.finalize()
+        return {name: {field: getattr(report, field)
+                       for field in WORKER_STAT_FIELDS}
+                for name, report in sorted(self.reports.items())}
 
     def trace_phase_counts(self) -> dict[str, int]:
         """Protocol-phase totals merged across the master recorder and

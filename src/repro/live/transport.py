@@ -16,6 +16,11 @@ supply the latter over multiprocessing queues:
   single-producer FIFO (the per-link ordering the protocol relies on)
   and gives the master one place to fence dead incarnations.
 
+Neither side polls its queue: the master blocks on all workers'
+outbound pipes at once (``LiveJob._wait``), a worker on its inbound
+queue until the next timer is due (``worker_main``).  The queues keep
+their feeder threads, so a ``put`` never blocks either pump.
+
 :class:`LiveTransport` adds one thing to :class:`ReliableEndpoint`:
 message-id namespacing by incarnation.  A respawned worker is a *new
 process* whose id counter restarts at zero, while its peers' dedup
@@ -46,6 +51,8 @@ class WorkerNet:
         self.outbound = outbound
         self.sent = 0
         self.sent_local = 0
+        #: Frames put on the outbound queue (wires + control frames).
+        self.frames_out = 0
 
     def send(self, src: str, dst: str, message: Any) -> None:
         self.sent += 1
@@ -57,11 +64,13 @@ class WorkerNet:
             self.sent_local += 1
             actor.deliver(message, src)
             return
+        self.frames_out += 1
         self.outbound.put(Wire(src, dst, self.kernel.tick(), message))
 
     def send_control(self, frame: Any) -> None:
         """Put a control frame (StoreWrite, FetchStore, FinalReport …) on
         the outbound queue, outside the actor-message path."""
+        self.frames_out += 1
         self.outbound.put(frame)
 
 
@@ -70,7 +79,7 @@ class MasterNet:
 
     def __init__(self, kernel: LiveKernel, links: dict[str, Any]) -> None:
         self.kernel = kernel
-        #: name -> worker link (``.queue``, ``.alive``); owned and
+        #: name -> worker link (``.queue_in``, ``.alive``); owned and
         #: mutated by the LiveJob driver as workers die and respawn.
         self.links = links
         self.sent = 0

@@ -2,7 +2,7 @@
 
 Everything that crosses a process boundary is a frozen dataclass built
 from plain data — the pickle round-trip test over the full message
-vocabulary (``tests/test_live_pickle.py``) keeps it that way.  Two
+vocabulary (``tests/test_messages_pickle.py``) keeps it that way.  Two
 families travel on the queues:
 
 * :class:`Wire` wraps one actor-bound protocol message from
@@ -101,6 +101,21 @@ class FinalReport:
     #: (receive) under ``columnar_wire`` — the engagement signal the
     #: wire bench asserts on (0 when the gate is off).
     wire_rows: int = 0
+    # Worker-loop counters (see ``repro.live.worker.LoopStats``), whole
+    # life of the incarnation.
+    #: Non-empty intake batches, and the frames they held.
+    intake_batches: int = 0
+    frames_in: int = 0
+    #: Frames put on the outbound queue (wires and control frames).
+    frames_out: int = 0
+    #: Flush-and-report rounds by what triggered them: the report tick,
+    #: the actor inbox draining, the worker about to block on changed
+    #: evidence.
+    reports_tick: int = 0
+    reports_idle: int = 0
+    reports_quiet_edge: int = 0
+    #: Wall seconds blocked on the inbound queue.
+    blocked_s: float = 0.0
 
 
 @dataclass(frozen=True, slots=True)
