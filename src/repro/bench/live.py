@@ -12,10 +12,11 @@ collected).  Two shape checks keep the numbers honest:
   the schedule, never the answer.
 
 No speedup floor is asserted: at bench scale the protocol is chatty
-relative to per-vertex work and every hop goes through the master pump,
-so more workers mostly buy pipelining of pickling against gathering —
-the committed numbers document that honestly rather than gating CI on
-host load::
+relative to per-vertex work, so more workers mostly buy pipelining of
+pickling against gathering — the committed numbers document that
+honestly rather than gating CI on host load.  The ``direct`` / ``relayed``
+columns say where the worker↔worker frames went: on their own queues, or
+through the master (0 unless a worker was respawned)::
 
     python -m repro.bench live [--quick]    # merges the "live" section
                                             # into BENCH_perf.json
@@ -44,8 +45,8 @@ FULL_WORKERS = (1, 2, 4)
 SOURCE = 0
 #: Columns of the printed table and fields of the JSON section's runs.
 ROW_FIELDS = ("workers", "tuples", "wall_s", "tuples_per_s", "commits",
-              "wakeups", "frames", "master_blocked_s", "intake_batches",
-              "reports", "worker_blocked_s")
+              "wakeups", "frames", "relayed", "direct", "master_blocked_s",
+              "intake_batches", "reports", "worker_blocked_s")
 
 
 def _digest(distances: dict[Any, float]) -> str:
@@ -97,6 +98,9 @@ def _pump_counters(job: Any) -> dict[str, Any]:
     return {
         "wakeups": int(master["live.pump.wakeups"]),
         "frames": int(master["live.pump.frames"]),
+        "relayed": int(master["live.pump.relayed"]),
+        "direct": sum(sum(stats["channel_sent"].values())
+                      for stats in workers),
         "master_blocked_s": master["live.pump.blocked_s"],
         "intake_batches": int(total("intake_batches")),
         "reports": "/".join(str(int(total(field))) for field in
@@ -130,8 +134,11 @@ def run_live_bench(quick: bool = False,
         notes=("backend=\"live\" (one OS process per worker, spawn), "
                "wall time includes process startup and final-report "
                "collection; digest is over final finite distances; "
-               "wakeups/frames/master_blocked_s are the master pump's, "
-               "reports = tick/idle/quiet-edge summed over workers"),
+               "wakeups/frames/master_blocked_s are the master pump's "
+               "(frames = everything the workers sent it, relayed = "
+               "worker-to-worker wires among them), direct = payload "
+               "frames on the workers' own queues, reports = "
+               "tick/idle/quiet-edge summed over workers"),
     )
     for run in runs:
         result.add_row(**{field: run[field] for field in ROW_FIELDS})

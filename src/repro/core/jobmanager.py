@@ -66,8 +66,6 @@ WINDOW = 0.25
 WINDOW_MAX_EVENTS = 250_000
 #: Pump passes granted to a live-backend tenant per window.
 LIVE_PASSES = 64
-#: Consecutive converged slices before a live tenant is declared done.
-LIVE_IDLE_CONFIRMATIONS = 3
 
 
 @dataclass(frozen=True)
@@ -172,8 +170,6 @@ class TenantRecord:
     #: Store-quota garbage collections performed.
     gcs: int = 0
     error: Exception | None = None
-    #: Consecutive converged pump slices (live backend).
-    live_idle: int = 0
 
     @property
     def live(self) -> bool:
@@ -391,14 +387,11 @@ class JobManager:
             self._finish(record)
 
     def _grant_live_window(self, record: TenantRecord) -> None:
-        job = record.job
-        job.pump_slice(passes=self.live_passes)
-        if job.converged:
-            record.live_idle += 1
-            if record.live_idle >= LIVE_IDLE_CONFIRMATIONS:
-                self._finish(record)
-        else:
-            record.live_idle = 0
+        # ``LiveJob.converged`` is exact (channel counts, no timed
+        # confirmations): the first slice that reads it true is the end.
+        record.job.pump_slice(passes=self.live_passes)
+        if record.job.converged:
+            self._finish(record)
 
     # ------------------------------------------------------------ quotas
     def _check_store_quota(self, record: TenantRecord) -> None:

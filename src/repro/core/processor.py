@@ -103,10 +103,12 @@ class LoopState:
             del self.counters[iteration]
 
     def watermark(self) -> float:
-        """Lowest iteration with local pending vertex work."""
-        pending = [p.iteration for p in self.protocols.values()
-                   if p.has_pending_work()]
-        return min(pending) if pending else math.inf
+        """Lowest iteration with local pending vertex work
+        (``VertexProtocol.has_pending_work``, inlined: this scans every
+        vertex for every progress report)."""
+        return min((p.iteration for p in self.protocols.values()
+                    if p.dirty or p.update_time is not None),
+                   default=math.inf)
 
 
 class Processor(Actor):
@@ -1406,6 +1408,11 @@ class Processor(Actor):
                     or self._migration_buffer)
 
     # ---------------------------------------------------------- reporting
+    @property
+    def report_seq(self) -> int:
+        """``seq`` of the last progress report issued (0 before any)."""
+        return self._report_seq
+
     def _report_tick(self) -> None:
         if not self._report_timer_running or self.down:
             return

@@ -10,15 +10,20 @@ Architecture (see DESIGN.md §3h):
 
 * the master process owns the job graph, the authoritative
   :class:`~repro.storage.VersionedStore` and the checkpoint manifest, and
-  runs a ``split_managed``-style pump loop dispatching work and collecting
-  ProgressReports;
+  runs a ``split_managed``-style pump loop: it hands out control (inputs,
+  termination notices, recovery) and collects ProgressReports and
+  checkpoint writes — data does not cross it;
 * each processor runs in its own spawned process on a
   :class:`~repro.live.kernel.LiveKernel` — a Simulator facade whose clock
   is a Lamport counter and whose timers fire on wall time;
 * all cross-process traffic is the frozen-dataclass protocol vocabulary
   of ``core/messages.py``, wrapped in :class:`~repro.live.wire.Wire`
-  envelopes and routed worker → master → worker over multiprocessing
-  queues (star topology, per-link FIFO);
+  envelopes; workers exchange it on direct per-pair multiprocessing
+  queues (single producer, single consumer, so per-link FIFO), and only
+  a respawned worker's traffic is relayed through the master;
+* convergence is decided by counting: both ends of every channel count
+  their payload frames, and the run has converged when every report is
+  passive and every channel's counts agree — no timed confirmations;
 * correctness is gated by :mod:`repro.live.oracle`: the live run's final
   vertex state and protocol-phase counts must match the DES run with the
   same seed.
@@ -29,8 +34,9 @@ from repro.live.kernel import LiveKernel
 from repro.live.oracle import canonical_digest, cross_check, job_fingerprint
 from repro.live.store import LiveBackend, WorkerStore
 from repro.live.transport import LiveTransport, MasterNet, WorkerNet
-from repro.live.wire import (Collect, FetchStore, FinalReport, Shutdown,
-                             StoreLoad, StoreWrite, Wire, WorkerError)
+from repro.live.wire import (ChannelEvidence, Collect, FetchStore,
+                             FinalReport, PeerDown, Shutdown, StoreLoad,
+                             StoreWrite, Wire, WorkerError)
 
 __all__ = [
     "LiveJob",
@@ -42,7 +48,9 @@ __all__ = [
     "WorkerStore",
     "Wire",
     "StoreWrite",
+    "ChannelEvidence",
     "StoreLoad",
+    "PeerDown",
     "FetchStore",
     "Collect",
     "FinalReport",

@@ -4,7 +4,20 @@
 actually constructs.  It hosts the unmodified :class:`Master` and
 :class:`Ingester` actors (plus the authoritative store and checkpoint
 manifest) on a :class:`LiveKernel` in the calling process, spawns one OS
-process per Tornado processor, and runs a ``split_managed``-style pump.
+process per Tornado processor, and runs a ``split_managed``-style pump:
+the master hands out control, data does not cross it.
+
+Topology.  Before the first spawn the driver creates one queue per
+ordered worker pair and hands each worker its ends; session traffic
+(updates, PREPARE/ACK, their transport acks) travels on those and never
+reaches this process.  A worker's queue pair with the master carries
+control only: ingester inputs, ``IterationTerminated`` and recovery
+messages one way; ``StoreWrite``, progress reports, acks to the ingester
+and final reports the other.  The one exception is recovery: a respawned
+incarnation cannot be given the direct queues (they cannot be pickled
+after the fact), so its peers drop theirs on ``PeerDown`` and its traffic
+is relayed — the ``forward`` branch of :meth:`LiveJob._handle_item`,
+counted by ``live.pump.relayed`` and 0 on a healthy run.
 
 The pump is event-driven.  A *pass* (:meth:`LiveJob._pump_once`) drains
 what the workers have sent (at most :data:`DRAIN_SLICE` frames per
@@ -14,9 +27,12 @@ when one finds none.  Then the master *blocks* in :meth:`LiveJob._wait`:
 ``multiprocessing.connection.wait`` on every live worker's outbound pipe
 and process sentinel, until a frame arrives, a worker dies, the next
 master-side timer is due or the caller's deadline passes — it never
-polls.  Convergence is decided from the same :class:`ProgressTracker`
-evidence the simulator uses, confirmed over :data:`IDLE_CONFIRMATIONS`
-looks :data:`CONFIRM_PACING` apart during which nothing may arrive.
+polls.
+
+Convergence is decided exactly, without waiting
+(:meth:`LiveJob._converged`): the :class:`ProgressTracker` evidence the
+simulator uses, plus per-channel counts of payload frames that say
+nothing is in flight (:func:`channel_report`).
 
 What it deliberately does **not** support yet: branch-loop queries and
 the live rebalancer (both raise) — the main loop, crash recovery and the
@@ -43,10 +59,10 @@ from repro.core.partition import PartitionScheme
 from repro.core.vertex import Application
 from repro.errors import QueryError, SimulationError
 from repro.live.kernel import LiveKernel
-from repro.live.transport import MasterNet
-from repro.live.wire import (Collect, FetchStore, FinalReport, Shutdown,
-                             StoreLoad, StoreWrite, Wire, WorkerError,
-                             WorkerSpec)
+from repro.live.transport import MASTER_CHANNEL, MasterNet
+from repro.live.wire import (ChannelEvidence, Collect, FetchStore,
+                             FinalReport, PeerDown, Shutdown, StoreLoad,
+                             StoreWrite, Wire, WorkerError, WorkerSpec)
 from repro.live.worker import LoopStats, worker_main
 from repro.obs import TraceRecorder
 from repro.storage import CheckpointManifest, VersionedStore
@@ -54,15 +70,39 @@ from repro.streams.model import StreamTuple
 
 #: Items drained from one worker's outbound queue per pump pass.
 DRAIN_SLICE = 256
-#: Consecutive idle passes with the convergence predicate true before
-#: the pump declares the run converged.
-IDLE_CONFIRMATIONS = 3
-#: Seconds the pump waits between two such passes; a frame arriving
-#: meanwhile wakes it at once and voids the confirmations so far.
-CONFIRM_PACING = 0.002
 #: ``FinalReport`` fields :meth:`LiveJob.worker_stats` surfaces.
 WORKER_STAT_FIELDS = (*(field.name for field in fields(LoopStats)),
-                      "frames_out")
+                      "frames_out", "channel_sent", "channel_received")
+
+
+def channel_report(view_seqs: dict[str, int],
+                   evidence: dict[str, ChannelEvidence],
+                   master_sent: dict[str, int],
+                   ) -> tuple[list[str], dict[tuple[str, str], tuple]]:
+    """Match the two ends of every channel between live processes.
+
+    ``view_seqs`` maps each live worker to the ``seq`` of its last
+    report the tracker folded in, ``evidence`` holds the last
+    :class:`ChannelEvidence` each sent, ``master_sent`` is the master's
+    own count per worker.  Returns the workers whose evidence is not the
+    one taken with that report (none yet, older, or newer), and every
+    channel ``(src, dst) -> (sent, received)`` either end lists — ``None``
+    where an end does not list it (a peer that already dropped it, or
+    was respawned without it).  A channel is settled when both agree."""
+    lagging = [name for name, seq in view_seqs.items()
+               if name not in evidence or evidence[name].seq != seq]
+    sent: dict[tuple[str, str], int] = {
+        (MASTER_CHANNEL, name): master_sent.get(name, 0)
+        for name in view_seqs}
+    received: dict[tuple[str, str], int] = {}
+    for name in view_seqs:
+        if name in evidence:
+            for dst, count in evidence[name].sent:
+                sent[name, dst] = count
+            for src, count in evidence[name].received:
+                received[src, name] = count
+    return lagging, {channel: (sent.get(channel), received.get(channel))
+                     for channel in sorted(sent.keys() | received.keys())}
 
 
 @dataclass
@@ -118,14 +158,26 @@ class LiveJob(TornadoJob):
                                  self.MASTER)
         #: Final reports gathered by the last :meth:`finalize` barrier.
         self.reports: dict[str, FinalReport] = {}
+        #: Last channel counts heard from each worker's live incarnation.
+        self._evidence: dict[str, ChannelEvidence] = {}
         metrics = self.kernel.metrics
         self._m_wakeups = metrics.counter("live.pump.wakeups")
         self._m_blocked = metrics.counter("live.pump.blocked_s")
         self._m_frames = metrics.counter("live.pump.frames")
+        self._m_relayed = metrics.counter("live.pump.relayed")
         self._ctx = multiprocessing.get_context("spawn")
+        names = self._worker_names
+        #: (src, dst) -> the direct queue of that ordered pair.  Made
+        #: here because a queue can only reach a process as a spawn
+        #: argument, and kept for the job's life: the semaphores inside
+        #: are unlinked when this process lets go of them, which a worker
+        #: still booting would not survive.
+        self._peer_queues = {(src, dst): self._ctx.Queue()
+                             for src in names for dst in names
+                             if src != dst}
         self._closed = False
         atexit.register(self.shutdown)
-        for name in self._worker_names:
+        for name in names:
             self._spawn(name, incarnation=0, recovering=False)
 
     # ------------------------------------------------------ worker lifecycle
@@ -135,18 +187,29 @@ class LiveJob(TornadoJob):
         queue_out = self._ctx.Queue()
         spec = WorkerSpec(name, incarnation, self.app, self.config,
                           tuple(self._worker_names), recovering)
+        # Only first incarnations get direct queues; a respawned one is
+        # reached through the master (its peers were told PeerDown).
+        pairs = {} if recovering else self._peer_queues
+        peers_in = {src: channel for (src, dst), channel in pairs.items()
+                    if dst == name}
+        peers_out = {dst: channel for (src, dst), channel in pairs.items()
+                     if src == name}
         process = self._ctx.Process(
-            target=worker_main, args=(spec, queue_in, queue_out),
+            target=worker_main,
+            args=(spec, queue_in, queue_out, peers_in, peers_out),
             daemon=True, name=f"tornado-live-{name}")
         process.start()
         self._links[name] = _WorkerLink(queue_in, queue_out, process,
                                         incarnation)
+        self.net.sent[name] = 0
 
     def kill_worker(self, name: str) -> None:
         """SIGKILL a worker mid-run (fault injection).  Messages queued
         toward it are lost — the live analogue of the simulated
         network's down-actor drop; reliable-transport retransmits and
-        the recovery protocol pick up the pieces after a respawn."""
+        the recovery protocol pick up the pieces after a respawn.  Every
+        survivor is told ``PeerDown`` and drops its direct queues to the
+        name; the next incarnation is reached through the master."""
         link = self._links[name]
         link.alive = False      # out of the wait set from here on
         link.process.kill()
@@ -157,6 +220,10 @@ class LiveJob(TornadoJob):
         # WorkerError among it raises here); nothing reads its pipe again.
         self._drain_dead(link)
         link.queue_out.close()
+        self._evidence.pop(name, None)
+        for peer in self._links.values():
+            if peer.alive:
+                peer.queue_in.put(PeerDown(name))
 
     def respawn_worker(self, name: str) -> None:
         """Restart a killed worker as a fresh incarnation.  It hydrates
@@ -168,14 +235,13 @@ class LiveJob(TornadoJob):
         self._spawn(name, incarnation=link.incarnation + 1,
                     recovering=True)
 
-    def _wait(self, limit: float, pacing: float | None = None) -> None:
+    def _wait(self, limit: float) -> None:
         """Block until a worker has sent something, a worker process has
-        exited, the next master-side timer is due, or ``limit`` (and
-        ``pacing``, if given) seconds have passed — whichever is first.
-        A worker found dead raises, with its traceback if it left one."""
-        timeout = min(bound for bound in
-                      (limit, pacing, self.kernel.next_timer_delay())
-                      if bound is not None)
+        exited, the next master-side timer is due, or ``limit`` seconds
+        have passed — whichever is first.  A worker found dead raises,
+        with its traceback if it left one."""
+        delay = self.kernel.next_timer_delay()
+        timeout = limit if delay is None else min(limit, delay)
         waitables = []
         for link in self._links.values():
             if link.alive:
@@ -204,6 +270,9 @@ class LiveJob(TornadoJob):
                 self.kernel.observe(item.stamp)
                 actor.deliver(item.payload, item.src)
             else:
+                # The relay: one end of this wire is a respawned
+                # incarnation, which has no direct queues.
+                self._m_relayed.inc()
                 self.net.forward(item)
         elif isinstance(item, StoreWrite):
             for loop, key, iteration, value in item.entries:
@@ -212,6 +281,10 @@ class LiveJob(TornadoJob):
                 self.store.put_columns(loop, keys, iterations, values)
             for loop, iteration in item.frontiers:
                 self.manifest.record_flush(loop, item.processor, iteration)
+            if item.evidence is not None:
+                self._evidence[item.processor] = item.evidence
+        elif isinstance(item, ChannelEvidence):
+            self._evidence[item.processor] = item
         elif isinstance(item, FetchStore):
             link = self._links.get(item.processor)
             if link is not None and link.alive:
@@ -266,44 +339,72 @@ class LiveJob(TornadoJob):
         self.kernel.release_parked()
         return True
 
+    def _channels(self) -> tuple[list[str], dict[tuple[str, str], tuple]]:
+        """:func:`channel_report` over the live workers as of now."""
+        tracker = self.master.trackers.get(MAIN_LOOP)
+        view_seqs = {name: tracker.view(name).seq if tracker else -1
+                     for name, link in self._links.items() if link.alive}
+        return channel_report(view_seqs, self._evidence, self.net.sent)
+
     def _converged(self) -> bool:
+        """Whether the main loop has converged — exact at the instant it
+        is asked, after an idle pump pass.  Three conjuncts:
+
+        1. the simulator's evidence: every worker's last report is
+           passive (watermark ∞, nothing unacked, nothing buffered), and
+           the master and the ingester have nothing parked, ready or
+           unacknowledged;
+        2. each live worker's channel counts are the ones it took with
+           that very report (``evidence.seq == view.seq``), so counts
+           and passivity describe the same instant of that worker;
+        3. on every open channel — worker→worker and master→worker — the
+           receiver has taken exactly the payload frames the sender put.
+
+        Why that needs no waiting: a passive worker can only be woken by
+        a payload frame — its timers are the report tick, which changes
+        nothing, and retransmits, which need an unacked envelope, and
+        every peer-bound send is an envelope it counts as unacked.  So
+        if any worker handled a payload after its snapshot, take the
+        first such handling anywhere.  Its frame was sent either before
+        the sender's own snapshot — then it is in the sender's ``sent``
+        and, channels being FIFO, not in the receiver's ``received``,
+        contradicting 3 — or after it, which needs an earlier wake-up of
+        the sender, contradicting "first".  The master's ``sent`` is
+        read live, so a frame it sent is always in it, and with 1 it has
+        no reason to send another: a later heartbeat report repeats the
+        view it already has.  Received-but-unhandled frames cannot hide
+        either: counts are only taken with the actor inbox empty.  Acks
+        are not counted because an ack can only make its receiver more
+        passive (``repro.live.transport.is_payload``)."""
         tracker = self.master.trackers.get(MAIN_LOOP)
         if tracker is None or not tracker.started or not tracker.converged:
             return False
         if self.kernel.parked_count or self.kernel.ready_count:
             return False
-        return (self.master.transport.unacked == 0
-                and self.ingester.transport.unacked == 0)
+        if self.master.transport.unacked or self.ingester.transport.unacked:
+            return False
+        lagging, channels = self._channels()
+        return not lagging and all(sent == received
+                                   for sent, received in channels.values())
 
     def run_until_converged(self, timeout: float = 120.0) -> float:
-        """Pump until the main loop converges (same evidence as the
-        simulator: tracker watermarks, unacked and buffered counts).
-        Returns the wall-clock seconds spent.  Raises ``TimeoutError``
-        with per-worker diagnostics if convergence is not reached in
-        time."""
+        """Pump until the main loop converges; returns on the first idle
+        pass on which :meth:`_converged` holds.  Returns the wall-clock
+        seconds spent.  Raises ``TimeoutError`` with per-worker and
+        per-channel diagnostics if convergence is not reached in time."""
         started = time.monotonic()
         deadline = started + timeout
-        idle_confirmations = 0
         while True:
-            if self._pump_once():
-                idle_confirmations = 0
+            if self._pump_once() or self._release_parked():
                 continue
-            if self._release_parked():
-                continue
-            pacing = None
             if self._converged():
-                idle_confirmations += 1
-                if idle_confirmations >= IDLE_CONFIRMATIONS:
-                    return time.monotonic() - started
-                pacing = CONFIRM_PACING
-            else:
-                idle_confirmations = 0
+                return time.monotonic() - started
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 raise TimeoutError(
                     f"live run did not converge within {timeout:g}s\n"
                     + self.diagnostics())
-            self._wait(remaining, pacing)
+            self._wait(remaining)
 
     def pump_slice(self, passes: int = 64) -> int:
         """Bounded pump slice for a JobManager interleaving several live
@@ -325,9 +426,9 @@ class LiveJob(TornadoJob):
 
     @property
     def converged(self) -> bool:
-        """Whether the main loop currently reads as converged (the same
-        evidence :meth:`run_until_converged` confirms over several idle
-        passes — a manager should see this hold across slices)."""
+        """Whether the main loop has converged — the exact predicate
+        :meth:`run_until_converged` returns on; meaningful after a pump
+        pass or slice that found nothing to do."""
         return self._converged()
 
     def pump_for(self, seconds: float) -> None:
@@ -340,8 +441,11 @@ class LiveJob(TornadoJob):
                 self._wait(remaining)
 
     def diagnostics(self) -> str:
-        """Where the deployment stands, one line for the master and one
-        per worker: what a ``TimeoutError`` of this module carries."""
+        """Where the deployment stands — one line for the master, one per
+        worker, one for the channel counts as last reported, and one
+        naming what the convergence predicate is still waiting for:
+        channels with frames in flight, workers whose counts lag their
+        last report.  What a ``TimeoutError`` of this module carries."""
         tracker = self.master.trackers.get(MAIN_LOOP)
         lines = [
             f"master: tracker started={getattr(tracker, 'started', None)} "
@@ -350,7 +454,8 @@ class LiveJob(TornadoJob):
             f"ready={self.kernel.ready_count} "
             f"unacked={self.master.transport.unacked} "
             f"ingester unacked={self.ingester.transport.unacked} "
-            f"dropped={self.net.dropped}"]
+            f"dropped={self.net.dropped} "
+            f"relayed={int(self._m_relayed.value)}"]
         for name, link in self._links.items():
             line = (f"{name}: alive={link.alive} "
                     f"exitcode={link.process.exitcode} "
@@ -362,7 +467,20 @@ class LiveJob(TornadoJob):
                          f"unacked={view.unacked} "
                          f"buffered={view.buffered} "
                          f"watermark={view.watermark}")
+            if name in self._evidence:
+                line += f" evidence seq={self._evidence[name].seq}"
             lines.append(line)
+        lagging, channels = self._channels()
+        lines.append("channels (sent/received): " + ", ".join(
+            f"{src}→{dst} {sent}/{received}"
+            for (src, dst), (sent, received) in channels.items()))
+        in_flight = [f"{src}→{dst}: {sent} sent, {received} received"
+                     for (src, dst), (sent, received) in channels.items()
+                     if sent != received]
+        lines.append("in flight: " + ("; ".join(in_flight) or "nothing"))
+        if lagging:
+            lines.append("evidence lags the last report of: "
+                         + ", ".join(lagging))
         return "\n".join(lines)
 
     # ------------------------------------------------------------- feeding
@@ -484,13 +602,19 @@ class LiveJob(TornadoJob):
             self.finalize()
         return sum(report.wire_rows for report in self.reports.values())
 
-    def worker_stats(self) -> dict[str, dict[str, float]]:
+    def worker_stats(self) -> dict[str, dict[str, Any]]:
         """Each worker's loop counters as of the last :meth:`finalize`:
         intake batches, frames in/out, reports by cause, seconds blocked
-        — the worker-side half of ``live.pump.*``."""
+        and payload frames per channel (``channel_sent`` by destination,
+        ``channel_received`` by source) — the worker-side half of
+        ``live.pump.*``."""
         if not self.reports:
             self.finalize()
-        return {name: {field: getattr(report, field)
+        def stat(report: FinalReport, field: str) -> Any:
+            value = getattr(report, field)
+            return dict(value) if isinstance(value, tuple) else value
+
+        return {name: {field: stat(report, field)
                        for field in WORKER_STAT_FIELDS}
                 for name, report in sorted(self.reports.items())}
 
@@ -529,12 +653,14 @@ class LiveJob(TornadoJob):
             if link.process.exitcode is None:
                 link.process.kill()
                 link.process.join(timeout=5)
-            for q in (link.queue_in, link.queue_out):
-                try:
-                    q.close()
-                    q.cancel_join_thread()
-                except (ValueError, OSError):
-                    pass
+        for q in (*(end for link in self._links.values()
+                    for end in (link.queue_in, link.queue_out)),
+                  *self._peer_queues.values()):
+            try:
+                q.close()
+                q.cancel_join_thread()
+            except (ValueError, OSError):
+                pass
 
     close = shutdown
 

@@ -14,13 +14,17 @@ families travel on the queues:
   ``ColumnBatch`` — session updates as typed column runs of plain tuples
   (the live sibling of ``StoreWrite.slabs``), still numpy-free so the
   vocabulary pickles without the columnar dependency.
-* Control frames (:class:`StoreWrite`, :class:`FetchStore`,
-  :class:`StoreLoad`, :class:`Collect`, :class:`FinalReport`,
-  :class:`Shutdown`, :class:`WorkerError`) are handled by the master pump
-  or the worker loop directly, outside the actor inbox — they are the
-  live backend's replacements for the shared-memory objects the simulator
-  could simply pass by reference (the store, the manifest, final state
-  inspection).
+  A wire travels on the direct queue between its two workers, or on a
+  worker's master queue when one end lives in the master process (or,
+  after a respawn, when the direct queue died with the old incarnation).
+* Control frames (:class:`StoreWrite`, :class:`ChannelEvidence`,
+  :class:`FetchStore`, :class:`StoreLoad`, :class:`PeerDown`,
+  :class:`Collect`, :class:`FinalReport`, :class:`Shutdown`,
+  :class:`WorkerError`) only ever travel between a worker and the master
+  and are handled by the master pump or the worker loop directly, outside
+  the actor inbox — they are the live backend's replacements for what the
+  simulator could simply read from shared memory (the store, the
+  manifest, final state, and whether a message is still in the network).
 """
 
 from __future__ import annotations
@@ -41,6 +45,29 @@ class Wire:
 
 
 @dataclass(frozen=True, slots=True)
+class ChannelEvidence:
+    """A worker's channel counts at an instant at which it had handled
+    everything it had taken in (actor inbox empty, nothing ready): how
+    many payload frames (wires other than bare ``TransportAck``s) it has
+    put on each direct channel and taken from each inbound one.  With
+    ``seq`` it says which progress report the counts belong to; the
+    master's convergence predicate matches every channel's two ends
+    (``LiveJob._converged``).  Rides the :class:`StoreWrite` that
+    precedes a report; travels alone only when counts moved without a
+    flush."""
+
+    processor: str
+    #: ``seq`` of the last progress report issued — the one right behind
+    #: this frame when it rides a StoreWrite.
+    seq: int
+    #: ``(dst, frames)`` per open direct channel out of this worker.
+    sent: tuple
+    #: ``(src, frames)`` per open channel into it; ``"master"`` is the
+    #: master queue (master, ingester and relayed traffic alike).
+    received: tuple
+
+
+@dataclass(frozen=True, slots=True)
 class StoreWrite:
     """Write-behind checkpoint shipping: the journal of versions a worker
     flushed, bound for the master's authoritative store.  Rides the same
@@ -58,6 +85,10 @@ class StoreWrite:
     #: layout's journal format (mutually exclusive with ``entries``; the
     #: master replays each slab through vectorized ``put_columns``).
     slabs: tuple = ()
+    #: The worker's :class:`ChannelEvidence` as of this flush (None when
+    #: the master already has exactly these counts, or when the flush
+    #: happened with unhandled frames in the inbox).
+    evidence: Any = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,6 +104,15 @@ class StoreLoad:
     local store (``(loop, key, iteration, value)`` tuples)."""
 
     entries: tuple
+
+
+@dataclass(frozen=True, slots=True)
+class PeerDown:
+    """Master → every surviving worker when ``processor``'s process was
+    killed: drop both direct queues to that name.  Traffic to and from
+    its next incarnation takes the master queues (the relay)."""
+
+    processor: str
 
 
 @dataclass(frozen=True, slots=True)
@@ -106,7 +146,7 @@ class FinalReport:
     #: Non-empty intake batches, and the frames they held.
     intake_batches: int = 0
     frames_in: int = 0
-    #: Frames put on the outbound queue (wires and control frames).
+    #: Frames put on the queue to the master (wires and control frames).
     frames_out: int = 0
     #: Flush-and-report rounds by what triggered them: the report tick,
     #: the actor inbox draining, the worker about to block on changed
@@ -114,8 +154,13 @@ class FinalReport:
     reports_tick: int = 0
     reports_idle: int = 0
     reports_quiet_edge: int = 0
-    #: Wall seconds blocked on the inbound queue.
+    #: Wall seconds blocked on the inbound queues.
     blocked_s: float = 0.0
+    #: Payload frames per open channel as in :class:`ChannelEvidence`:
+    #: ``(dst, frames)`` put on direct channels, ``(src, frames)`` taken
+    #: (``"master"`` = the master queue).
+    channel_sent: tuple = ()
+    channel_received: tuple = ()
 
 
 @dataclass(frozen=True, slots=True)

@@ -1,4 +1,6 @@
-"""The worker process: one unmodified ``Processor`` behind two queues.
+"""The worker process: one unmodified ``Processor`` behind its queues —
+a pair to the master and, for a first incarnation, one to and one from
+every peer (``repro.live.transport.WorkerNet`` owns them all).
 
 Spawned (not forked) so each worker is a genuinely fresh interpreter —
 which is also why the determinism bug batch matters: with hash
@@ -7,22 +9,25 @@ paths would make two workers disagree on scatter order.
 
 The loop is event-driven and works in batches:
 
-1. *Intake.*  Take every frame already on the inbound queue (FIFO, at
-   most :data:`INTAKE_SLICE`) into the actor inbox before running
-   anything, so a burst of wires is one inbox drain, one ``on_idle`` and
-   therefore one ``StoreWrite`` + one ``ProgressReport`` — what the
-   simulator does with messages that share an instant.  Control frames
-   (StoreLoad hydration, Collect barrier, Shutdown) are answered outside
-   the actor inbox and end the batch they arrive in.
+1. *Intake.*  Take every frame already on the master queue and the peer
+   queues (``WorkerNet.take_batch``: per-source FIFO, a bounded slice
+   per queue) into the actor inbox before running anything, so a burst
+   of wires is one inbox drain, one ``on_idle`` and therefore one
+   ``StoreWrite`` + one ``ProgressReport`` — what the simulator does with
+   messages that share an instant.  Control frames (StoreLoad hydration,
+   PeerDown, Collect barrier, Shutdown) come from the master only, are
+   answered outside the actor inbox and end the batch they arrive in.
 2. *Run.*  A bounded slice of the ready FIFO, then the due wall-clock
    timers (retransmits, report ticks); the bound keeps a long compute
    phase from starving intake.
 3. *Quiet edge.*  With nothing at hand and nothing ready the worker is
    about to block.  If what it last told the master differs from what is
-   true now (``Processor.report_if_evidence_changed``) it reports first —
-   convergence never waits out ``report_interval``; the tick is a
-   liveness heartbeat.  Then it blocks on the queue until a frame arrives
-   or the next timer is due.
+   true now it tells it first: a report when its termination evidence
+   changed (``Processor.report_if_evidence_changed`` — convergence never
+   waits out ``report_interval``; the tick is a liveness heartbeat), and
+   its channel counts (``WorkerNet.evidence``) when those moved without
+   a flush to ride on.  Then it blocks on all its inbound pipes at once
+   until a frame arrives or the next timer is due.
 """
 
 from __future__ import annotations
@@ -30,7 +35,6 @@ from __future__ import annotations
 import queue
 import time
 import traceback
-from collections import deque
 from dataclasses import dataclass
 from typing import Any
 
@@ -40,16 +44,15 @@ from repro.core.processor import Processor
 from repro.live.kernel import LiveKernel
 from repro.live.store import LiveBackend, WorkerStore
 from repro.live.transport import LiveTransport, WorkerNet
-from repro.live.wire import (Collect, FinalReport, Shutdown, StoreLoad,
-                             FetchStore, Wire, WorkerError, WorkerSpec)
+from repro.live.wire import (Collect, FetchStore, FinalReport, PeerDown,
+                             Shutdown, StoreLoad, Wire, WorkerError,
+                             WorkerSpec)
 from repro.obs import TraceRecorder
 
 MASTER_NAME = "master"
 
 #: How long a recovering worker waits for its StoreLoad before giving up.
 HYDRATION_TIMEOUT = 60.0
-#: Frames taken from the inbound queue per loop turn.
-INTAKE_SLICE = 256
 #: Ready-FIFO callbacks run per loop turn (bounds intake starvation).
 READY_SLICE = 512
 #: Idle poll ceiling so timer deadlines are re-checked regularly.
@@ -102,35 +105,13 @@ def build_final_report(processor: Processor, kernel: LiveKernel,
         trace_evicted=kernel.trace.evicted,
         wire_rows=wire_rows,
         frames_out=processor.network.frames_out,
+        channel_sent=tuple(processor.network.sent.items()),
+        channel_received=tuple(processor.network.received.items()),
         **vars(stats),
     )
 
 
-def take_batch(inbound: Any, stash: deque,
-               timeout: float | None = None) -> list[Any]:
-    """Up to :data:`INTAKE_SLICE` frames in arrival order: stashed frames
-    first, then whatever the queue holds.  With a ``timeout`` the call
-    blocks that long for the *first* frame; the rest is only what is
-    already there.  A control frame ends the batch, so Collect and
-    Shutdown see the loop state they saw when frames came one a turn."""
-    batch: list[Any] = []
-    while len(batch) < INTAKE_SLICE:
-        try:
-            if stash:
-                item = stash.popleft()
-            elif batch or timeout is None:
-                item = inbound.get_nowait()
-            else:
-                item = inbound.get(timeout=timeout)
-        except queue.Empty:
-            break
-        batch.append(item)
-        if not isinstance(item, Wire):
-            break
-    return batch
-
-
-def _await_store_load(inbound: Any, stash: deque) -> StoreLoad | None:
+def _await_store_load(net: WorkerNet) -> StoreLoad | None:
     """Block until the master's StoreLoad arrives, stashing any other
     frames (peers may already be sending) for delivery after hydration."""
     deadline = time.monotonic() + HYDRATION_TIMEOUT
@@ -139,25 +120,30 @@ def _await_store_load(inbound: Any, stash: deque) -> StoreLoad | None:
         if remaining <= 0:
             raise TimeoutError("no StoreLoad within hydration timeout")
         try:
-            item = inbound.get(timeout=min(remaining, 1.0))
+            item = net.inbound.get(timeout=min(remaining, 1.0))
         except queue.Empty:
             continue
         if isinstance(item, StoreLoad):
             return item
         if isinstance(item, Shutdown):
             return None
-        stash.append(item)
+        net.stash.append(item)
 
 
-def worker_main(spec: WorkerSpec, inbound: Any, outbound: Any) -> None:
+def worker_main(spec: WorkerSpec, inbound: Any, outbound: Any,
+                peers_in: dict[str, Any] | None = None,
+                peers_out: dict[str, Any] | None = None) -> None:
     """Process entrypoint (must stay importable at module top level:
-    the spawn start method pickles it by reference)."""
+    the spawn start method pickles it by reference).  ``peers_in`` /
+    ``peers_out`` map a peer's name to the direct queue from / to it; a
+    respawned incarnation has none and talks through the master."""
     config = spec.config
     try:
         recorder = TraceRecorder(capacity=config.trace_capacity,
                                  enabled=config.trace_enabled)
         kernel = LiveKernel(seed=config.seed, recorder=recorder)
-        net = WorkerNet(kernel, spec.name, outbound)
+        net = WorkerNet(kernel, spec.name, outbound, inbound,
+                        peers_in, peers_out)
         partition = PartitionScheme(list(spec.worker_names))
         store = WorkerStore(
             delta_path=config.delta_path,
@@ -174,11 +160,15 @@ def worker_main(spec: WorkerSpec, inbound: Any, outbound: Any) -> None:
         processor.transport = LiveTransport(
             kernel, net, spec.name, timeout=config.retransmit_timeout,
             incarnation=spec.incarnation)
+        # Channel counts ride a flush only when every frame taken in has
+        # been handled (see ChannelEvidence); a tick that fires with the
+        # inbox still loaded leaves them to the next flush or quiet edge.
+        backend.evidence = lambda: (None if kernel.ready_count else
+                                    net.evidence(processor.report_seq))
 
-        stash: deque = deque()
         if spec.recovering:
             net.send_control(FetchStore(spec.name))
-            load = _await_store_load(inbound, stash)
+            load = _await_store_load(net)
             if load is None:
                 return
             store.hydrate(load.entries)
@@ -192,15 +182,17 @@ def worker_main(spec: WorkerSpec, inbound: Any, outbound: Any) -> None:
         collect_pending = False
         running = True
         while running:
-            batch = take_batch(inbound, stash)
+            batch = net.take_batch()
             if not batch and not kernel.ready_count:
                 # Quiet edge: about to block.
                 if processor.report_if_evidence_changed():
                     stats.reports_quiet_edge += 1
+                evidence = net.evidence(processor.report_seq)
+                if evidence is not None:
+                    net.send_control(evidence)
                 delay = kernel.next_timer_delay()
                 blocked_at = time.monotonic()
-                batch = take_batch(
-                    inbound, stash,
+                batch = net.take_batch(
                     IDLE_POLL if delay is None else min(delay, IDLE_POLL))
                 stats.blocked_s += time.monotonic() - blocked_at
             if batch:
@@ -210,6 +202,8 @@ def worker_main(spec: WorkerSpec, inbound: Any, outbound: Any) -> None:
                 if isinstance(item, Wire):
                     kernel.observe(item.stamp)
                     processor.deliver(item.payload, item.src)
+                elif isinstance(item, PeerDown):
+                    net.drop_peer(item.processor)
                 elif isinstance(item, Collect):
                     collect_pending = True
                 elif isinstance(item, Shutdown):
@@ -222,7 +216,8 @@ def worker_main(spec: WorkerSpec, inbound: Any, outbound: Any) -> None:
             flushes = backend.flushes
             kernel.fire_due_timers()
             stats.reports_tick += backend.flushes - flushes
-            if collect_pending and not kernel.ready_count and not stash:
+            if collect_pending and not kernel.ready_count \
+                    and not net.stash:
                 # FIFO guarantees everything sent before the Collect has
                 # been dequeued; with the ready queue drained the counters
                 # and values below are final.

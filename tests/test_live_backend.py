@@ -1,6 +1,8 @@
 """Unit tests for the live backend's building blocks: the LiveKernel
 facade, the journaling WorkerStore, the incarnation-namespaced
-transport, the star router, and the oracle's canonicalisation."""
+transport, the queue fabric, and the oracle's canonicalisation."""
+
+import queue
 
 import pytest
 
@@ -14,11 +16,25 @@ from repro.live.wire import StoreWrite, Wire
 
 
 class FakeQueue:
-    def __init__(self):
-        self.items = []
+    """An in-process stand-in for one ``mp.Queue``."""
+
+    def __init__(self, *items):
+        self.items = list(items)
+        self.closed = False
 
     def put(self, item):
         self.items.append(item)
+
+    def get_nowait(self):
+        if not self.items:
+            raise queue.Empty
+        return self.items.pop(0)
+
+    def cancel_join_thread(self):
+        pass
+
+    def close(self):
+        self.closed = True
 
 
 class FakeLink:

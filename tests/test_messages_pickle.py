@@ -34,9 +34,9 @@ from repro.core.messages import (Acknowledge, BranchDone, ColumnBatch,
                                  SessionBatch, StopLoop, TransportAck,
                                  Unreliable, VertexInput, VertexUpdate)
 from repro.live import wire as wire_mod
-from repro.live.wire import (Collect, FetchStore, FinalReport, Shutdown,
-                             StoreLoad, StoreWrite, Wire, WorkerError,
-                             WorkerSpec)
+from repro.live.wire import (ChannelEvidence, Collect, FetchStore,
+                             FinalReport, PeerDown, Shutdown, StoreLoad,
+                             StoreWrite, Wire, WorkerError, WorkerSpec)
 from repro.streams.model import ADD_EDGE, StreamTuple
 
 UPDATE = VertexUpdate("main", "u", "v", 4,
@@ -84,16 +84,25 @@ VOCABULARY = [
     Unreliable(ProgressReport("main", "proc-0", 1, {}, float("inf"))),
 ]
 
+EVIDENCE = ChannelEvidence("proc-0", 11, (("proc-1", 412),),
+                           (("master", 37), ("proc-1", 398)))
+
 WIRE_VOCABULARY = [
     Wire("proc-0", "proc-1", 99, Envelope(7, UPDATE)),
+    EVIDENCE,
+    # The flush frame carries the evidence of the report behind it.
     StoreWrite("proc-0", 3, (("main", "u", 4, ("x", ("v",))),),
-               (("main", 4),)),
+               (("main", 4),), evidence=EVIDENCE),
     FetchStore("proc-1"),
     StoreLoad((("main", "u", 4, ("x", ("v",))),)),
+    PeerDown("proc-1"),
     Collect(),
     FinalReport("proc-0", 1, (("u", SSSPValue(0.0, {}, {}, set())),),
                 (("main", (3, 2, 2, 0, 5)),),
-                (("protocol.commit:main", 3),), 120, 0, 0),
+                (("protocol.commit:main", 3),), 120, 0, 0,
+                frames_in=450, frames_out=61,
+                channel_sent=EVIDENCE.sent,
+                channel_received=EVIDENCE.received),
     Shutdown(),
     WorkerError("proc-2", 0, "Traceback (most recent call last): ..."),
     WorkerSpec("proc-0", 1,
