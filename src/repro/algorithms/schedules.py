@@ -13,7 +13,12 @@ import numpy as np
 
 
 class DescentSchedule:
-    """Interface: observe objective values, then step along a gradient."""
+    """Interface: observe objective values, then step along a gradient.
+
+    Committed snapshots copy a schedule with ``copy.copy``, so the copy
+    shares the array objects it holds.  A schedule must therefore rebind
+    its state arrays (``self._acc = self._acc + g * g``) and never update
+    them in place (``self._acc += g * g``)."""
 
     def observe(self, objective: float) -> None:
         """Feed one objective estimate (called before :meth:`step`)."""

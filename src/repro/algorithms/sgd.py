@@ -14,12 +14,18 @@ The approximation/exact split of the execution model (§3.3):
 * **branch loop** (``f``): samplers compute *full-reservoir* gradients, so
   the branch runs deterministic distributed gradient descent from the main
   loop's approximation until the steps fall below the tolerance.
+
+A sampler keeps its reservoir's instances as rows of a ``(capacity, dim)``
+slab (``reservoir.rows``), so a batch is an index into it rather than a
+re-stacking of instances.  The slab is a cache of the live value only:
+committed snapshots share the immutable instances and rebuild it on their
+first scatter.
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
 import numpy as np
@@ -57,6 +63,13 @@ class Loss:
                   ys: np.ndarray) -> float:
         raise NotImplementedError
 
+    def gradient_and_objective(self, weights: np.ndarray, xs: np.ndarray,
+                               ys: np.ndarray) -> tuple[np.ndarray, float]:
+        """Both at the same weights.  Losses that can share one pass over
+        the batch between the two override this."""
+        return (self.gradient(weights, xs, ys),
+                self.objective(weights, xs, ys))
+
 
 class HingeLoss(Loss):
     """L2-regularised hinge loss (linear SVM)."""
@@ -65,7 +78,17 @@ class HingeLoss(Loss):
         self.l2 = l2
 
     def gradient(self, weights, xs, ys):
+        return self._gradient(weights, xs, ys, ys * (xs @ weights))
+
+    def objective(self, weights, xs, ys):
+        return self._objective(weights, ys * (xs @ weights))
+
+    def gradient_and_objective(self, weights, xs, ys):
         margins = ys * (xs @ weights)
+        return (self._gradient(weights, xs, ys, margins),
+                self._objective(weights, margins))
+
+    def _gradient(self, weights, xs, ys, margins):
         active = margins < 1.0
         if not np.any(active):
             return self.l2 * weights
@@ -73,8 +96,7 @@ class HingeLoss(Loss):
             active.mean())
         return sub + self.l2 * weights
 
-    def objective(self, weights, xs, ys):
-        margins = ys * (xs @ weights)
+    def _objective(self, weights, margins):
         hinge = np.maximum(0.0, 1.0 - margins).mean()
         return float(hinge + 0.5 * self.l2 * weights @ weights)
 
@@ -86,13 +108,27 @@ class LogisticLoss(Loss):
         self.l2 = l2
 
     def gradient(self, weights, xs, ys):
-        margins = np.clip(ys * (xs @ weights), -30.0, 30.0)
+        return self._gradient(weights, xs, ys,
+                              self._margins(weights, xs, ys))
+
+    def objective(self, weights, xs, ys):
+        return self._objective(weights, self._margins(weights, xs, ys))
+
+    def gradient_and_objective(self, weights, xs, ys):
+        margins = self._margins(weights, xs, ys)
+        return (self._gradient(weights, xs, ys, margins),
+                self._objective(weights, margins))
+
+    @staticmethod
+    def _margins(weights, xs, ys):
+        return np.clip(ys * (xs @ weights), -30.0, 30.0)
+
+    def _gradient(self, weights, xs, ys, margins):
         sigma = 1.0 / (1.0 + np.exp(margins))
         grad = -(sigma * ys) @ xs / len(ys)
         return grad + self.l2 * weights
 
-    def objective(self, weights, xs, ys):
-        margins = np.clip(ys * (xs @ weights), -30.0, 30.0)
+    def _objective(self, weights, margins):
         loss = np.log1p(np.exp(-margins)).mean()
         return float(loss + 0.5 * self.l2 * weights @ weights)
 
@@ -115,8 +151,6 @@ class SamplerValue:
     reservoir: ReservoirSampler
     weights: np.ndarray | None = None
     pending_inputs: int = 0
-    rng: np.random.Generator = field(
-        default_factory=lambda: np.random.default_rng(0))
     #: Weights this sampler last computed a gradient with; used to report
     #: the effect of the intervening step on the same batch.
     prev_weights: np.ndarray | None = None
@@ -161,9 +195,7 @@ class SGDProgram(VertexProgram):
                 from repro.streams.sampling import RecencyBiasedBuffer
 
                 sampler = RecencyBiasedBuffer(self.reservoir_capacity, rng)
-            ctx.value = SamplerValue(
-                reservoir=sampler,
-                rng=np.random.default_rng((self.seed << 16) ^ (index + 77)))
+            ctx.value = SamplerValue(reservoir=sampler)
             ctx.add_target(PARAM)
 
     # -------------------------------------------------------------- gather
@@ -201,7 +233,13 @@ class SGDProgram(VertexProgram):
         if source is None:
             if delta.kind != ADD_INSTANCE:
                 return False
-            value.reservoir.offer(delta.payload)
+            instance = delta.payload
+            reservoir = value.reservoir
+            slot = reservoir.offer(instance)
+            if slot is not None and reservoir.rows is not None:
+                xs, ys = reservoir.rows
+                xs[slot] = instance.features
+                ys[slot] = instance.label
             value.pending_inputs += 1
             if value.pending_inputs >= self.input_batch:
                 value.pending_inputs = 0
@@ -220,19 +258,34 @@ class SGDProgram(VertexProgram):
             return
         self._scatter_sampler(ctx)
 
+    def _rows(self, reservoir: ReservoirSampler
+              ) -> tuple[np.ndarray, np.ndarray]:
+        """The reservoir as a ``(capacity, dim)`` row slab plus a label
+        vector, slot for slot: built here the first time a forked or
+        revived value scatters, kept current by ``_gather_sampler``."""
+        if reservoir.rows is None:
+            sample = reservoir.sample
+            xs = np.empty((reservoir.capacity, self.dim))
+            ys = np.empty(reservoir.capacity)
+            xs[:len(sample)] = [instance.features for instance in sample]
+            ys[:len(sample)] = [instance.label for instance in sample]
+            reservoir.rows = (xs, ys)
+        return reservoir.rows
+
     def _scatter_sampler(self, ctx: VertexContext) -> None:
         value: SamplerValue = ctx.value
-        if value.weights is None or not len(value.reservoir):
+        reservoir = value.reservoir
+        size = len(reservoir)
+        if value.weights is None or not size:
             return
+        xs, ys = self._rows(reservoir)
         if ctx.in_main_loop:
-            batch = value.reservoir.draw(
-                min(self.batch_size, len(value.reservoir)))
+            picks = reservoir.draw_indices(min(self.batch_size, size))
+            xs, ys = xs[picks], ys[picks]
         else:
-            batch = list(value.reservoir)
-        xs = np.stack([inst.x() for inst in batch])
-        ys = np.asarray([inst.label for inst in batch], dtype=float)
-        gradient = self.loss.gradient(value.weights, xs, ys)
-        objective = self.loss.objective(value.weights, xs, ys)
+            xs, ys = xs[:size], ys[:size]
+        gradient, objective = self.loss.gradient_and_objective(
+            value.weights, xs, ys)
         # Step feedback on the SAME batch: how did the last descent step
         # change the objective?  (Comparing across batches would conflate
         # stream drift with overshoot.)
@@ -240,8 +293,7 @@ class SGDProgram(VertexProgram):
         if value.prev_weights is not None:
             objective_before = self.loss.objective(value.prev_weights,
                                                    xs, ys)
-        ctx.emit(PARAM, (gradient, objective, len(batch),
-                         objective_before))
+        ctx.emit(PARAM, (gradient, objective, len(ys), objective_before))
 
     # ---------------------------------------------------------------- cost
     def gather_cost(self, ctx: VertexContext, source: Any,
@@ -261,22 +313,19 @@ class SGDProgram(VertexProgram):
 
     def snapshot_value(self, value: Any) -> Any:
         """Cheap structural copy: instances are immutable, so the reservoir
-        contents can be shared; only the containers and mutable scalars are
-        cloned (a full deepcopy here dominated snapshot cost)."""
+        contents are shared; the containers and mutable scalars are
+        cloned, the sampler's RNG travels as a saved state and its row
+        slab stays with the live value."""
         if isinstance(value, ParamValue):
-            return ParamValue(value.weights.copy(),
-                              copy.deepcopy(value.schedule),
+            # Schedules rebind their state arrays, never write into them
+            # (DescentSchedule), so a shallow copy is independent.
+            return ParamValue(value.weights.copy(), copy.copy(value.schedule),
                               value.steps, value.last_objective,
                               value.attenuation)
         if isinstance(value, SamplerValue):
-            sampler_cls = type(value.reservoir)
-            reservoir = sampler_cls(value.reservoir.capacity,
-                                    copy.deepcopy(value.reservoir._rng))
-            reservoir.sample = list(value.reservoir.sample)
-            reservoir.seen = value.reservoir.seen
             weights = None if value.weights is None else value.weights.copy()
-            return SamplerValue(reservoir, weights, value.pending_inputs,
-                                copy.deepcopy(value.rng))
+            return SamplerValue(value.reservoir.snapshot(), weights,
+                                value.pending_inputs)
         return copy.deepcopy(value)
 
 

@@ -76,9 +76,6 @@ class Event:
         """Number of callback invocations this entry represents."""
         return 1 if self.extra is None else 1 + len(self.extra)
 
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
         return f"Event(t={self.time:.6f}, seq={self.seq}, {state})"
@@ -86,6 +83,10 @@ class Event:
 
 class EventQueue:
     """A priority queue of :class:`Event` objects.
+
+    Heap entries are ``(time, seq, event)`` tuples, so ``heapq`` orders
+    them with C tuple comparisons; ``seq`` is unique, so the comparison
+    never reaches the event itself.
 
     Parameters
     ----------
@@ -100,7 +101,7 @@ class EventQueue:
 
     def __init__(self, fast_path: bool = True,
                  counter: Iterator[int] | None = None) -> None:
-        self._heap: list[Event] = []
+        self._heap: list[tuple[float, int, Event]] = []
         self._counter = counter if counter is not None else itertools.count()
         self.fast_path = fast_path
         self._pending = 0
@@ -134,10 +135,11 @@ class EventQueue:
         interleaved event."""
         if time != time:  # NaN guard
             raise SimulationError("event time is NaN")
-        event = Event(time, next(self._counter), callback, args)
+        seq = next(self._counter)
+        event = Event(time, seq, callback, args)
         event._queue = self
         event._in_heap = True
-        heapq.heappush(self._heap, event)
+        heapq.heappush(self._heap, (time, seq, event))
         if track:
             self._tail[time] = event
             event._tailed = True
@@ -176,7 +178,7 @@ class EventQueue:
         """Remove and return the next non-cancelled event, or ``None`` if
         the queue is exhausted."""
         while self._heap:
-            event = heapq.heappop(self._heap)
+            event = heapq.heappop(self._heap)[2]
             event._in_heap = False
             if event.cancelled:
                 self._cancelled -= 1
@@ -191,7 +193,7 @@ class EventQueue:
         """Next pending event without removing it (purges cancelled
         entries from the top)."""
         while self._heap:
-            head = self._heap[0]
+            head = self._heap[0][2]
             if not head.cancelled:
                 return head
             heapq.heappop(self._heap)
@@ -220,18 +222,19 @@ class EventQueue:
     def _compact(self) -> None:
         """Rebuild the heap without tombstones: O(n) once, instead of the
         cancelled majority taxing every later O(log n) operation."""
-        live: list[Event] = []
-        for event in self._heap:
+        live = []
+        for entry in self._heap:
+            event = entry[2]
             if event.cancelled:
                 event._in_heap = False
             else:
-                live.append(event)
+                live.append(entry)
         heapq.heapify(live)
         self._heap = live
         self._cancelled = 0
 
     def clear(self) -> None:
-        for event in self._heap:
+        for _time, _seq, event in self._heap:
             event._in_heap = False
         self._heap.clear()
         self._tail.clear()

@@ -1,5 +1,7 @@
 """Unit tests for algorithm pieces: losses, schedules, oracles, routers."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,9 @@ from repro.algorithms import (Adadelta, Adagrad, BoldDriver, HingeLoss,
                               reference_kmeans, reference_pagerank,
                               reference_sssp)
 from repro.algorithms.graph_common import EdgeStreamRouter
-from repro.algorithms.sgd import PARAM, sampler_id
+from repro.algorithms.sgd import PARAM, SGDProgram, sampler_id
+from repro.core.messages import MAIN_LOOP
+from repro.core.vertex import VertexContext, VertexState
 from repro.streams.model import ADD_EDGE, ADD_INSTANCE, StreamTuple
 
 
@@ -40,6 +44,14 @@ class TestLosses:
                        - loss.objective(w - bump, self.xs, self.ys)) / (
                 2 * eps)
             assert grad[coord] == pytest.approx(numeric, abs=1e-3)
+
+    @pytest.mark.parametrize("loss", [HingeLoss(1e-3), LogisticLoss(1e-4)])
+    def test_fused_pass_equals_separate_calls(self, loss):
+        w = np.array([0.3, -0.2, 0.1])
+        gradient, objective = loss.gradient_and_objective(w, self.xs,
+                                                          self.ys)
+        assert np.array_equal(gradient, loss.gradient(w, self.xs, self.ys))
+        assert objective == loss.objective(w, self.xs, self.ys)
 
     def test_separable_data_reaches_low_error(self):
         loss = LogisticLoss(1e-4)
@@ -98,6 +110,30 @@ class TestSchedules:
         g = np.array([5.0])
         steps = [abs(schedule.step(g)[0]) for _ in range(20)]
         assert all(step < 1.0 for step in steps)
+
+    @pytest.mark.parametrize("factory", [
+        lambda: StaticRate(0.1), lambda: BoldDriver(0.5),
+        lambda: Adagrad(0.5), Adadelta], ids=["static", "bold", "adagrad",
+                                              "adadelta"])
+    def test_snapshot_unchanged_by_later_steps(self, factory):
+        """Param snapshots copy the schedule shallowly; the DescentSchedule
+        contract (rebind state arrays, never write into them) keeps the
+        copy independent of the live schedule's later steps."""
+        program = SGDProgram(HingeLoss(), 2, 1, factory)
+        ctx = VertexContext(VertexState(PARAM), MAIN_LOOP, 0)
+        program.init(ctx)
+        # One step first, so the adaptive schedules hold state arrays.
+        program.gather(ctx, sampler_id(0), (np.array([1.0, -1.0]), 2.0, 4,
+                                            None))
+        snapshot = program.snapshot_value(ctx.value)
+        before = copy.deepcopy(vars(snapshot.schedule))
+        for step in range(10):
+            program.gather(ctx, sampler_id(0), (
+                np.array([0.5, 2.0 - step]), 1.0 + step % 3, 4, 1.5))
+        after = vars(snapshot.schedule)
+        assert after.keys() == before.keys()
+        for key, value in before.items():
+            assert np.array_equal(after[key], value), key
 
 
 class TestOracles:

@@ -1,6 +1,8 @@
 """End-to-end integration tests for PageRank, connected components, KMeans
 and SGD workloads running on the full Tornado runtime."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -144,6 +146,20 @@ class TestSGDJob:
         result = job.query_and_wait()
         weights = result.values[PARAM].weights
         assert self.accuracy(weights, instances) > 0.9
+
+    def test_branch_result_is_pinned(self):
+        """Exact pin of one branch result and the event count.  The
+        sampler's row slab, saved RNG states and shared loss margins must
+        reproduce the per-instance arithmetic bit for bit.  (Pinned with
+        float64 numpy and OpenBLAS; a BLAS that sums in another order
+        would move both values.)"""
+        job, _instances, _w = self.make_job()
+        job.run_for(1.5)
+        weights = job.query_and_wait().values[PARAM].weights
+        digest = hashlib.sha256(weights.tobytes()).hexdigest()
+        assert (digest, job.sim.events_processed) == (
+            "f6cc157b548c1b5eae3e22b74ea5a7d95ef57c3de7dc7f63eefa6e4365172a1e",
+            77594)
 
     def test_main_loop_approximation_learns(self):
         """The main loop's mini-batch SGD alone reaches a decent model —

@@ -21,7 +21,7 @@ _OPS = st.lists(
 
 def _live_min(queue):
     """Oracle: the (time, seq) the next pop must return, or None."""
-    live = [e for e in queue._heap if not e.cancelled]
+    live = [e for _time, _seq, e in queue._heap if not e.cancelled]
     return min(((e.time, e.seq) for e in live), default=None)
 
 

@@ -26,7 +26,7 @@ def _setup(tuple_timeout=5.0):
 
 
 def _live_events(sim):
-    return [e for e in sim._queue._heap if not e.cancelled]
+    return [e for _time, _seq, e in sim._queue._heap if not e.cancelled]
 
 
 class TestTimeoutEventLeak:
