@@ -46,7 +46,12 @@ class ScheduledQuery:
 
 @dataclass
 class QueryResult:
-    """Outcome of one branch-loop query."""
+    """Outcome of one branch-loop query.
+
+    ``values`` are the store's own objects, not copies: a vertex the
+    branch never touched reports the version published for the main
+    loop's state, which later results (and the store) share until the
+    main loop writes that vertex.  Treat them as read-only."""
 
     query_id: int
     loop: str

@@ -89,6 +89,25 @@ class LoopState:
         self.recent_gather_counts: dict[Any, int] = {}
         self.pending_flush = 0
         self._buffer_seq = itertools.count()
+        # ------------------------------------------- copy-on-write forks
+        # Branch loop: main-loop states this branch still shares (vertex ->
+        # the main loop's live VertexState).  A vertex leaves ``base`` for
+        # a private copy on its first branch touch or right before the
+        # main loop next writes it, whichever comes first.
+        self.base: dict[Any, VertexState] = {}
+        # Branch loop: the main loop it forked from (None before a fork).
+        self.source: LoopState | None = None
+        # Branch loop: vertex -> rank in the order the fork created the
+        # branch's vertices (shell first, then the main loop's, then later
+        # arrivals).  None for loops that never forked, whose ``vertices``
+        # dict already is that order.
+        self.rank: dict[Any, int] | None = None
+        # Main loop: branches whose ``base`` points into this loop — the
+        # targets of the write barrier.
+        self.sharers: list[LoopState] = []
+        # Main loop: vertex -> the immutable version a stopped branch
+        # published for it, reused until the main loop writes the vertex.
+        self.published: dict[Any, tuple[Any, frozenset]] = {}
 
     def counter(self, iteration: int) -> list[int]:
         entry = self.counters.get(iteration)
@@ -105,10 +124,20 @@ class LoopState:
     def watermark(self) -> float:
         """Lowest iteration with local pending vertex work
         (``VertexProtocol.has_pending_work``, inlined: this scans every
-        vertex for every progress report)."""
+        vertex for every progress report).  Shared vertices have no
+        protocol and never have pending work."""
         return min((p.iteration for p in self.protocols.values()
                     if p.dirty or p.update_time is not None),
                    default=math.inf)
+
+    def in_fork_order(self, vertex_ids: list) -> list:
+        """Sort ``vertex_ids`` (all of this loop's) into the order the fork
+        created them.  Walks that send messages visit vertices in this
+        order, so the traffic they produce is independent of the order
+        in which shared vertices were materialised."""
+        if self.rank is not None and len(vertex_ids) > 1:
+            vertex_ids.sort(key=self.rank.__getitem__)
+        return vertex_ids
 
 
 class Processor(Actor):
@@ -352,12 +381,20 @@ class Processor(Actor):
                 or (isinstance(p, ColumnBatch) and p.has_prepare()))
         else:
             self.transport.purge_unacked(msg.processor, (Prepare,))
+        owner = self.partition.owner
         for loop in self.loops.values():
             for vertex_id, state in loop.vertices.items():
-                if any(self.partition.owner(target) == msg.processor
+                if any(owner(target) == msg.processor
                        for target in state.targets):
                     loop.protocols[vertex_id].dirty = True
-            for vertex_id, protocol in loop.protocols.items():
+            reached = [vertex_id for vertex_id, state in loop.base.items()
+                       if any(owner(target) == msg.processor
+                              for target in state.targets)]
+            for vertex_id in reached:
+                _state, protocol = self._ensure_vertex(loop, vertex_id)
+                protocol.dirty = True
+            for vertex_id in loop.in_fork_order(list(loop.protocols)):
+                protocol = loop.protocols[vertex_id]
                 stale = [producer for producer in protocol.prepare_list
                          if self.partition.owner(producer)
                          == msg.processor]
@@ -443,6 +480,12 @@ class Processor(Actor):
                        vertex_id: Any) -> tuple[VertexState, VertexProtocol]:
         state = loop.vertices.get(vertex_id)
         if state is None:
+            if loop.base:
+                shared = loop.base.pop(vertex_id, None)
+                if shared is not None:
+                    return self._materialise(loop, vertex_id, shared)
+            if loop.rank is not None:
+                loop.rank[vertex_id] = len(loop.rank)
             found = self.store.get_version(loop.name, vertex_id)
             if found is not None:
                 # Adopted (repartitioned) or post-recovery vertex: seed
@@ -463,6 +506,32 @@ class Processor(Actor):
                 ctx = VertexContext(state, loop.name, protocol.iteration)
                 self.app.program.init(ctx)
         return state, loop.protocols[vertex_id]
+
+    def _materialise(self, branch: LoopState, vertex_id: Any,
+                     shared: VertexState
+                     ) -> tuple[VertexState, VertexProtocol]:
+        """Give ``branch`` its private copy of a main-loop state it shared
+        since the fork — the copy the eager fork used to make up front."""
+        state = VertexState(
+            vertex_id, self.app.program.snapshot_value(shared.value),
+            set(shared.targets), shared.last_commit_iteration)
+        protocol = VertexProtocol(vertex_id, iteration=0)
+        branch.vertices[vertex_id] = state
+        branch.protocols[vertex_id] = protocol
+        return state, protocol
+
+    def _unshare(self, main: LoopState, vertex_id: Any) -> None:
+        """Write barrier: the main loop is about to change or drop
+        ``vertex_id``.  Every live branch still sharing its state takes a
+        private copy first, and the version published for it is stale.
+        Callers test ``main.sharers or main.published`` first, so a main
+        loop with nothing shared or published pays only that test (and a
+        branch loop, which never has either, too)."""
+        for branch in main.sharers:
+            shared = branch.base.pop(vertex_id, None)
+            if shared is not None:
+                self._materialise(branch, vertex_id, shared)
+        main.published.pop(vertex_id, None)
 
     def _loop_or_orphan(self, name: str, message: Any) -> LoopState | None:
         loop = self.loops.get(name)
@@ -493,6 +562,8 @@ class Processor(Actor):
 
     def _apply_input(self, loop: LoopState, state: VertexState,
                      protocol: VertexProtocol, msg: VertexInput) -> float:
+        if loop.sharers or loop.published:
+            self._unshare(loop, msg.vertex)
         ctx = VertexContext(state, loop.name, protocol.iteration)
         delta = Delta(msg.kind, msg.payload, msg.weight)
         changed = self.app.program.gather(ctx, None, delta)
@@ -567,6 +638,8 @@ class Processor(Actor):
                                        iteration=msg.iteration)
                 return self.config.control_cost
             protocol.gathered_from[msg.producer] = msg.iteration
+        if loop.sharers or loop.published:
+            self._unshare(loop, msg.consumer)
         ctx = VertexContext(state, loop.name, protocol.iteration)
         changed = self.app.program.gather(ctx, msg.producer, msg.data)
         protocol.gathered_update(msg.producer, msg.iteration, changed)
@@ -811,6 +884,9 @@ class Processor(Actor):
         gather = program.gather
         trace = self._trace
         is_main = loop.is_main
+        # Fork and stop never run inside a batch, so no vertex becomes
+        # shared mid-batch; hoisting the barrier test is safe.
+        barrier = bool(loop.sharers or loop.published)
         recent = loop.recent_gather_counts
         counter = loop.counter
         gather_cost_fn = (None if self._static_gather_cost
@@ -858,6 +934,8 @@ class Processor(Actor):
                     cost += control
                     continue
                 protocol.gathered_from[producer] = it
+            if barrier:
+                self._unshare(loop, consumer)
             if ctx is None:
                 ctx = VertexContext(state, loop_name, protocol.iteration)
             else:
@@ -927,7 +1005,10 @@ class Processor(Actor):
             return self.config.control_cost
         protocol = loop.protocols.get(msg.producer)
         if protocol is None:
-            return self.config.control_cost
+            if msg.producer not in loop.base:
+                return self.config.control_cost
+            # A stale ACK still raises a shared vertex's iteration.
+            _state, protocol = self._ensure_vertex(loop, msg.producer)
         actions = protocol.received_ack(msg.consumer, msg.iteration)
         return self.config.control_cost + self._run_actions(
             loop, msg.producer, actions)
@@ -993,6 +1074,10 @@ class Processor(Actor):
 
     def _commit(self, loop: LoopState, vertex_id: Any,
                 iteration: int) -> float:
+        if loop.sharers or loop.published:
+            # The commit stamps the state, and ``scatter`` is user code
+            # that may mutate the value.
+            self._unshare(loop, vertex_id)
         state = loop.vertices[vertex_id]
         state.last_commit_iteration = iteration
         state.last_commit_time = self.sim.now
@@ -1105,15 +1190,18 @@ class Processor(Actor):
         self._release_buffered(loop)
         # The frontier advance may unlock the delay-bound fast path.
         cost = self.config.control_cost
-        for vertex_id, protocol in list(loop.protocols.items()):
-            if protocol.dirty and not protocol.preparing:
-                cost += self._try_prepare(loop, vertex_id)
+        ready = [vertex_id for vertex_id, protocol in loop.protocols.items()
+                 if protocol.dirty and not protocol.preparing]
+        for vertex_id in loop.in_fork_order(ready):
+            cost += self._try_prepare(loop, vertex_id)
         return cost
 
     def _handle_stop(self, msg: StopLoop) -> float:
-        """Tear a finished branch loop down, first materialising its final
-        state so query results are complete even for vertices the branch
-        never needed to update."""
+        """Tear a finished branch loop down, first writing its final state
+        so query results are complete even for vertices the branch never
+        needed to update.  A vertex still shared with the main loop
+        publishes the main state's version, made once and reused by every
+        later branch until the main loop writes the vertex."""
         stopped = self.loops.pop(msg.loop, None)
         self._orphans.pop(msg.loop, None)
         if stopped is None:
@@ -1121,17 +1209,32 @@ class Processor(Actor):
         self.loop_archive[msg.loop] = (
             stopped.commits_total, stopped.sent_total,
             stopped.gathered_total, stopped.prepares_recorded)
+        source = stopped.source
+        if source is not None and stopped in source.sharers:
+            source.sharers.remove(stopped)
         # Presence probes ride one housekeeping snapshot of the stopped
         # loop — every processor tears the same loop down at the same
         # instant, so after the first walk the rest are LRU-cache hits —
         # and the final values go out as one batched write.
         existing = self.store.snapshot(msg.loop, internal=True)
+        snapshot_value = self.app.program.snapshot_value
+        vertices = stopped.vertices
         items = []
-        for vertex_id, state in stopped.vertices.items():
+        for vertex_id in (stopped.rank if stopped.rank is not None
+                          else vertices):
             if vertex_id in existing:
                 continue
-            version = (self.app.program.snapshot_value(state.value),
-                       frozenset(state.targets))
+            state = vertices.get(vertex_id)
+            if state is not None:
+                version = (snapshot_value(state.value),
+                           frozenset(state.targets))
+            else:
+                state = stopped.base[vertex_id]
+                version = source.published.get(vertex_id)
+                if version is None:
+                    version = source.published[vertex_id] = (
+                        snapshot_value(state.value),
+                        frozenset(state.targets))
             items.append((vertex_id, max(0, state.last_commit_iteration),
                           version))
         materialised = self.store.put_many(msg.loop, items)
@@ -1140,7 +1243,12 @@ class Processor(Actor):
     # ------------------------------------------------------ fork / merge
     def _handle_fork(self, msg: ForkBranch) -> float:
         existing = self.loops.get(msg.loop)
-        if existing is not None and existing.forked:
+        if (existing is not None and existing.forked) \
+                or msg.loop in self.loop_archive:
+            # A duplicate, or a stale re-send of a stopped branch's fork (a
+            # crash wiped the dedup window that would have dropped it):
+            # re-forking would let the zombie's commits write into the
+            # finished branch's result namespace.
             return self.config.control_cost
         main = self.loops.get(MAIN_LOOP)
         if main is None:
@@ -1179,20 +1287,28 @@ class Processor(Actor):
                     and payload.loop == MAIN_LOOP:
                 inflight_producers.update(payload.update_producers())
         cost = self.config.control_cost
+        # Copy-on-write: an activated vertex gets its private copy now;
+        # every other one is shared with the main loop (``base``) until
+        # either side writes it.  Fork order ranks a recovery shell's
+        # vertices first, then the main loop's in its order.
+        rank = branch.rank = dict(zip(branch.vertices, itertools.count()))
+        base = branch.base
+        activate_on_fork = self.app.program.activate_on_fork
+        ctx: VertexContext | None = None
         for vertex_id, state in main.vertices.items():
-            if vertex_id in branch.vertices:
+            if vertex_id in rank:
                 # Shell vertex already live in the branch: keep its state
                 # and (re-)activate it so it re-scatters whatever the
                 # crash lost.
                 branch.protocols[vertex_id].dirty = True
                 continue
-            branch_state = VertexState(
-                vertex_id, self.app.program.snapshot_value(state.value),
-                set(state.targets), state.last_commit_iteration)
-            branch.vertices[vertex_id] = branch_state
-            protocol = VertexProtocol(vertex_id, iteration=0)
-            branch.protocols[vertex_id] = protocol
-            ctx = VertexContext(branch_state, msg.loop, 0)
+            rank[vertex_id] = len(rank)
+            # One context over the main loop's live state, re-pointed per
+            # vertex: activate_on_fork only reads it.
+            if ctx is None:
+                ctx = VertexContext(state, msg.loop, 0)
+            else:
+                ctx._state = state
             if batch_mode:
                 # The main loop never propagated anything: every vertex
                 # touched by inputs since the last epoch is unreflected.
@@ -1208,10 +1324,16 @@ class Processor(Actor):
                     or vertex_id in inflight_producers
                     or state.last_commit_time >= window_start
                     or vertex_id in main.buffered_inputs)
-            if msg.full_activation or self.app.program.activate_on_fork(
-                    ctx, recently):
-                protocol.dirty = True
-            cost += 1e-6  # per-vertex snapshot copy
+            if msg.full_activation or activate_on_fork(ctx, recently):
+                self._materialise(branch, vertex_id, state)[1].dirty = True
+            else:
+                base[vertex_id] = state
+            # Per-vertex snapshot copy: the cost model charges the paper's
+            # eager copy whatever the simulator shares.
+            cost += 1e-6
+        branch.source = main
+        if base:
+            main.sharers.append(branch)
         # Updates parked by the delay bound were never gathered: fold them
         # into the branch copies directly.
         if not batch_mode:
@@ -1222,18 +1344,19 @@ class Processor(Actor):
             buffered = (sorted(main.buffered_updates) if self._delta_scatter
                         else main.buffered_updates)
             for _iteration, _seq, update in buffered:
-                if update.consumer not in branch.vertices:
+                if update.consumer not in rank:
                     continue
-                b_state = branch.vertices[update.consumer]
-                b_protocol = branch.protocols[update.consumer]
+                b_state, b_protocol = self._ensure_vertex(branch,
+                                                          update.consumer)
                 b_ctx = VertexContext(b_state, msg.loop, 0)
                 if self.app.program.gather(b_ctx, update.producer,
                                            update.data):
                     b_protocol.dirty = True
         # Kick the activated vertices off.
-        for vertex_id, protocol in branch.protocols.items():
-            if protocol.dirty:
-                cost += self._try_prepare(branch, vertex_id)
+        dirty = [vertex_id for vertex_id, protocol
+                 in branch.protocols.items() if protocol.dirty]
+        for vertex_id in branch.in_fork_order(dirty):
+            cost += self._try_prepare(branch, vertex_id)
         # Replay session traffic that arrived before the fork notice.
         for orphan in self._orphans.pop(msg.loop, []):
             self.deliver(orphan, self.name)
@@ -1259,6 +1382,8 @@ class Processor(Actor):
             if self.partition.owner(vertex_id) != self.name:
                 continue
             state, protocol = self._ensure_vertex(main, vertex_id)
+            if main.sharers or main.published:
+                self._unshare(main, vertex_id)
             state.value = self.app.program.snapshot_value(value)
             state.targets = set(targets)
             state.last_commit_iteration = msg.target_iteration
@@ -1322,6 +1447,10 @@ class Processor(Actor):
             protocol = main.protocols.get(vertex_id)
             if protocol is not None and protocol.preparing:
                 continue
+            if main.sharers or main.published:
+                # Dropping a state is a write: a shared or published
+                # state must never outlive its place in the main loop.
+                self._unshare(main, vertex_id)
             state = main.vertices.pop(vertex_id, None)
             main.protocols.pop(vertex_id, None)
             main.recent_commit_counts.pop(vertex_id, None)

@@ -35,10 +35,6 @@ class VertexState:
     last_commit_iteration: int = -1
     last_commit_time: float = float("-inf")
 
-    def copy_for(self) -> "VertexState":
-        return VertexState(self.vertex_id, copy.deepcopy(self.value),
-                           set(self.targets), self.last_commit_iteration)
-
 
 class VertexContext:
     """View of one vertex handed to the user program's callbacks."""
@@ -154,7 +150,12 @@ class VertexProgram:
                          recently_updated: bool) -> bool:
         """Should this vertex self-activate when a branch loop forks?
         Default: only vertices the main loop updated since the last fork
-        (plus any with pending inputs, handled by the runtime)."""
+        (plus any with pending inputs, handled by the runtime).
+
+        ``ctx`` is a read-only view over the *main loop's live state*: the
+        branch shares that state until one side writes it, so this hook
+        must not mutate ``ctx.value`` or the targets (and must not emit).
+        Read ``ctx.vertex_id`` or the value; decide; return."""
         return recently_updated
 
     def gather_cost(self, ctx: VertexContext, source: Any,

@@ -1,0 +1,214 @@
+"""Query-path pins: exact fingerprints of branch-loop runs.
+
+Each case drives a small seeded workload through the fork / branch /
+stop / merge path and pins three things:
+
+* the flight-recorder digest (every protocol event, in order, in virtual
+  time),
+* ``sim.events_processed``,
+* the sha256 of every query's full result values (the ``repr`` of each
+  value, not just the distances).
+
+The pins were recorded from the eager fork, which copied every main-loop
+vertex into the branch, and hold for the copy-on-write fork that replaced
+it: sharing main-loop state until one side writes must change neither the
+virtual timeline nor any result.  Every case ends with two back-to-back
+queries on an unchanged main loop, the case a published-version cache
+serves.  The pins are hash-seed free (CI re-runs this module under
+another ``PYTHONHASHSEED``).
+
+Re-pin (only with the diff explained) by running
+
+    PYTHONPATH=src python -m tests.test_branch_pins
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from repro.bench.workloads import Scale, pagerank_bundle, sssp_bundle
+from repro.core import TornadoJob
+
+SSSP_SCALE = Scale(n_vertices=120, n_edges=360, stream_rate=4000.0)
+PAGERANK_SCALE = Scale(n_vertices=50, n_edges=150, stream_rate=4000.0)
+#: Queries issued while the stream is still arriving, this far apart...
+QUERY_EVERY = 0.02
+#: ...each followed by a second one this much later, while the first
+#: branch still runs.
+SECOND_AFTER = 0.002
+#: Virtual time the main loop gets after the stream to absorb it.
+SETTLE_S = 0.05
+#: Delay bound B of every case.  A merge lands at iteration τ + B and the
+#: master then terminates the iterations in between one by one; the
+#: default B = 65536 would spend the test budget (and the flight
+#: recorder's ring) on that walk.
+DELAY_BOUND = 16
+
+
+def _settle(job: TornadoJob) -> None:
+    """Run until the whole stream is ingested, then ``SETTLE_S`` more.
+    (Not until ``quiescent()``: under ``merge_policy="always"`` a few
+    main-loop vertices can stay blocked behind a prepare_list entry that
+    no commit clears, so the main loop never reads idle.)"""
+    ingester = job.ingester
+    job.run_until(lambda: ingester.pending_inputs() == 0
+                  and ingester.transport.unacked == 0)
+    job.run_for(SETTLE_S)
+
+
+def _finish(job: TornadoJob, query_ids: list[int],
+            full_activation: bool = False) -> tuple[str, int, str]:
+    """Wait for ``query_ids``, run two back-to-back queries on the settled
+    main loop, and fingerprint the run."""
+    for query_id in query_ids:
+        job.wait_for_query(query_id)
+    _settle(job)
+    query_ids = query_ids + [job.query_and_wait(full_activation).query_id
+                             for _ in range(2)]
+    results = hashlib.sha256()
+    for query_id in query_ids:
+        # In the store's order: the order a result lists its vertices in
+        # is part of what a query returns.
+        for vertex, value in job.result(query_id).values.items():
+            results.update(f"{query_id} {vertex!r} {value!r}\n".encode())
+    return job.trace.digest(), job.sim.events_processed, results.hexdigest()
+
+
+def _streaming(bundle) -> tuple[str, int, str]:
+    """Query pairs every ``QUERY_EVERY`` while the stream arrives, so that
+    two branches are live at once and merges land between forks."""
+    job = bundle.job
+    job.feed(bundle.stream)
+    end = bundle.stream[-1].timestamp
+    handles = []
+    at = QUERY_EVERY
+    while at < end:
+        handles.append(job.schedule_query(at))
+        handles.append(job.schedule_query(at + SECOND_AFTER))
+        at += QUERY_EVERY
+    job.run_until(lambda: handles[-1].issued)
+    return _finish(job, [handle.query_id for handle in handles])
+
+
+def _killed_mid_branch(bundle, full_activation: bool,
+                       fail_delay: float,
+                       recover_after: float) -> tuple[str, int, str]:
+    """Fork half-way through the stream and crash proc-1 while the branch
+    runs; it restarts from its checkpoint and the branch still finishes."""
+    job = bundle.job
+    job.feed(bundle.stream)
+    cutoff = len(bundle.stream) // 2
+    job.run_until(lambda: job.ingester.tuples_ingested >= cutoff)
+    query_id = job.query(full_activation=full_activation)
+    killed_at = job.sim.now + fail_delay
+    job.failures.kill_at(killed_at, "proc-1", recover_after=recover_after)
+    pins = _finish(job, [query_id], full_activation)
+    assert job.result(query_id).completed_at > killed_at
+    return pins
+
+
+def sssp_always(**overrides) -> tuple[str, int, str]:
+    return _streaming(sssp_bundle(SSSP_SCALE, delete_fraction=0.2,
+                                  merge_policy="always",
+                                  delay_bound=DELAY_BOUND,
+                                  trace_enabled=True, **overrides))
+
+
+def sssp_always_columnar_wire() -> tuple[str, int, str]:
+    return sssp_always(columnar_wire=True)
+
+
+def sssp_if_quiescent() -> tuple[str, int, str]:
+    return _streaming(sssp_bundle(SSSP_SCALE, delete_fraction=0.2,
+                                  merge_policy="if_quiescent",
+                                  delay_bound=DELAY_BOUND,
+                                  trace_enabled=True))
+
+
+def sssp_batch_always() -> tuple[str, int, str]:
+    """Batch mode: a merge rewrites main-loop vertices the main loop never
+    propagated, under a second branch that still shares them."""
+    return _streaming(sssp_bundle(SSSP_SCALE, delete_fraction=0.2,
+                                  main_loop_mode="batch",
+                                  merge_policy="always",
+                                  delay_bound=DELAY_BOUND,
+                                  trace_enabled=True))
+
+
+def pagerank_always() -> tuple[str, int, str]:
+    return _streaming(pagerank_bundle(PAGERANK_SCALE, merge_policy="always",
+                                      delay_bound=DELAY_BOUND,
+                                      trace_enabled=True))
+
+
+def sssp_batch_kill() -> tuple[str, int, str]:
+    """The fig8d set-up: batch-mode main loop, fully activated branch."""
+    return _killed_mid_branch(
+        sssp_bundle(SSSP_SCALE, delay_bound=DELAY_BOUND,
+                    main_loop_mode="batch",
+                    merge_policy="never", report_interval=0.01,
+                    trace_enabled=True, gather_cost=5e-4),
+        full_activation=True, fail_delay=0.01, recover_after=0.05)
+
+
+def pagerank_kill() -> tuple[str, int, str]:
+    return _killed_mid_branch(
+        pagerank_bundle(PAGERANK_SCALE, delay_bound=DELAY_BOUND,
+                        trace_enabled=True),
+        full_activation=False, fail_delay=2e-3, recover_after=0.05)
+
+
+CASES = {
+    "sssp_always": sssp_always,
+    "sssp_always_columnar_wire": sssp_always_columnar_wire,
+    "sssp_if_quiescent": sssp_if_quiescent,
+    "sssp_batch_always": sssp_batch_always,
+    "pagerank_always": pagerank_always,
+    "sssp_batch_kill": sssp_batch_kill,
+    "pagerank_kill": pagerank_kill,
+}
+
+PINS: dict[str, tuple[str, int, str]] = {
+    "pagerank_always": (
+        "e422d452dfa97e4f06624b33dcc3bc1e79ecdf4f73eb9c5b95ddd75c9bfef2d7",
+        22846,
+        "95ab3371c1acbeb9f1b6410c99a01ee0222f6b361f8ced98b4dc94e07d9718b3"),
+    "pagerank_kill": (
+        "e1e86998c60808c2951e3d521d29a9c23b17379348b026afef63d3c02f4e0061",
+        39131,
+        "cab3353fb3594a5df5efa60b2a18cc314977dc4dc06069c4e142995decadb887"),
+    "sssp_always": (
+        "0daf3b9a780d172aa01cd809b9d3ebfbb7229c2734f590fb28e4a5c14356d454",
+        31007,
+        "a2e0e94e76013e0117e69ea4bad829c489fd84808108279240e6640d797e8e04"),
+    # The columnar wire is digest-identical to scalar updates by design;
+    # this case runs the same traffic through the row fast path.
+    "sssp_always_columnar_wire": (
+        "0daf3b9a780d172aa01cd809b9d3ebfbb7229c2734f590fb28e4a5c14356d454",
+        31007,
+        "a2e0e94e76013e0117e69ea4bad829c489fd84808108279240e6640d797e8e04"),
+    "sssp_batch_always": (
+        "05bfeda843b4c9e41980e082fb682e4ad4aed36fda98454efd29bd0da6bbd04b",
+        16848,
+        "03d01e0babdc3e4e6e9a6147d0301a739c8bf41c056118a497d8c66f04d3f757"),
+    "sssp_batch_kill": (
+        "10434f8e1b0a66e9523c3f894bb6a44edc06dc048c26720db710e5ed59d2bb4e",
+        16363,
+        "cecd633ec070f71444210b5ef61f0cb8da36276c00011af5e2fda16287265a0e"),
+    "sssp_if_quiescent": (
+        "24db6e3701fffc4ea6ff3df0167a099940bd8df9490e14b6afd47f7b383c98cf",
+        32914,
+        "130a0dfee6467a7df9a8ab75a5c6ee52c0f36baebc1468e2b2e8447074fc4287"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_query_path_pin(case):
+    assert CASES[case]() == PINS[case]
+
+
+if __name__ == "__main__":
+    for name in sorted(CASES):
+        print(f"    {name!r}: {CASES[name]()!r},")

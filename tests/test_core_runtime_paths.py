@@ -80,9 +80,32 @@ class TestBranchIsolation:
         before = dict(processor.loop_archive)
         processor.deliver(ForkBranch(record.loop, 0, -1, False), "test")
         job.run_for(0.2)
-        # Re-fork of a stopped loop creates a fresh LoopState but must not
-        # corrupt the archived totals of the finished branch.
+        # A re-fork of a stopped loop must not corrupt the archived totals
+        # of the finished branch.
         assert processor.loop_archive == before
+
+    def test_stale_fork_after_stop_is_ignored(self):
+        """A ForkBranch re-sent after its branch's StopLoop (a crash wiped
+        the dedup window that would have dropped it) must not re-create
+        the branch: the zombie's commits would land in the finished
+        branch's result namespace."""
+        job = make_job()
+        job.run_for(2.0)
+        result = job.query_and_wait()
+        record = job.branch_record(result.query_id)
+        # The main loop moves on, so a zombie branch would compute
+        # something new.
+        job.feed(edge_stream([("c", "e"), ("s", "e")], UniformRate(
+            rate=1000.0, start=job.sim.now)))
+        job.run_for(1.0)
+        before = job.store.snapshot(record.loop)
+        for processor in job.processors:
+            processor.deliver(ForkBranch(record.loop, 0, -1, True), "test")
+        job.run_for(0.5)
+        assert all(record.loop not in processor.loops
+                   for processor in job.processors)
+        assert job.store.snapshot(record.loop) == before
+        assert job.result(result.query_id).values == result.values
 
 
 class TestLoopIdentity:

@@ -55,14 +55,6 @@ class TestVertexContext:
         assert branch_ctx.get_loop() == "branch-3"
         assert not branch_ctx.in_main_loop
 
-    def test_state_copy_is_deep_for_value(self):
-        state = VertexState("v", value={"xs": [1, 2]}, targets={"a"})
-        clone = state.copy_for()
-        clone.value["xs"].append(3)
-        clone.targets.add("b")
-        assert state.value == {"xs": [1, 2]}
-        assert state.targets == {"a"}
-
     def test_delta_is_frozen(self):
         delta = Delta("add_edge", (1, 2))
         with pytest.raises(AttributeError):
