@@ -3,7 +3,6 @@
 from repro.bench.ablations import (run_ablation_activation,
                                    run_ablation_sampling,
                                    run_ablation_storage)
-from repro.bench.delta import run_delta
 from repro.bench.fig5 import run_fig5
 from repro.bench.fig6 import run_fig6a, run_fig6b
 from repro.bench.fig7 import run_fig7a, run_fig7b
@@ -11,7 +10,6 @@ from repro.bench.fig8 import run_failure_figure, run_fig8b
 from repro.bench.fig9 import run_fig9
 from repro.bench.harness import ExperimentResult, ShapeCheck, percentile
 from repro.bench.live import run_live_bench
-from repro.bench.perf import run_perf
 from repro.bench.placement import run_placement
 from repro.bench.scale import run_scale
 from repro.bench.skew import run_skew
@@ -37,7 +35,6 @@ __all__ = [
     "run_ablation_activation",
     "run_ablation_sampling",
     "run_ablation_storage",
-    "run_delta",
     "run_failure_figure",
     "run_fig5",
     "run_fig6a",
@@ -48,7 +45,6 @@ __all__ = [
     "run_fig8b",
     "run_fig9",
     "run_live_bench",
-    "run_perf",
     "run_placement",
     "run_scale",
     "run_skew",

@@ -15,28 +15,22 @@ from typing import Any, Iterable
 
 import numpy as np
 
-#: Top-level sections of ``BENCH_perf.json`` owned by sibling bench
-#: writers (the perf bench owns everything else at the top level).
-BENCH_SECTIONS = ("delta", "live", "placement", "scale", "tenants",
-                  "wire")
+#: Top-level sections of ``BENCH_perf.json``, one per bench writer.
+BENCH_SECTIONS = ("live", "placement", "scale", "tenants", "wire")
 
 
-def merge_bench_json(json_path: str, updates: dict[str, Any],
-                     replace_base: bool = False) -> dict[str, Any]:
+def merge_bench_json(json_path: str,
+                     updates: dict[str, Any]) -> dict[str, Any]:
     """Read-modify-write merge of ``updates`` into the shared benchmark
     JSON file — the one place every bench writer goes through, so no
     writer can clobber a sibling's section again.
 
-    Default mode (section writers: ``merge_bench_json(path, {"delta":
-    report})``) keeps every previous top-level key that ``updates`` does
-    not name.  ``replace_base=True`` (the perf writer, which owns the
-    top level) rebuilds the payload from ``updates`` and carries over
-    only the known sibling sections (:data:`BENCH_SECTIONS`) from the
-    previous file.  A missing or unparsable file merges as empty.
+    Section writers (``merge_bench_json(path, {"wire": report})``) keep
+    every previous top-level key that ``updates`` does not name.  A
+    missing or unparsable file merges as empty.
 
     The written file always carries a *neutral* root: ``"bench":
-    "merged"`` with per-writer provenance under ``"sections"`` (the perf
-    writer's root-level ``bench`` id moves to ``sections["perf"]``, each
+    "merged"`` with per-writer provenance under ``"sections"`` (each
     known section's own ``bench`` id is indexed by its section name) —
     the merged artifact never masquerades as one writer's report.
     Returns the merged payload as written.
@@ -49,18 +43,9 @@ def merge_bench_json(json_path: str, updates: dict[str, Any],
     prev_sections = previous.get("sections")
     sections = dict(prev_sections) if isinstance(prev_sections, dict) \
         else {}
-    if replace_base:
-        payload = dict(updates)
-        for section in BENCH_SECTIONS:
-            if section in previous and section not in payload:
-                payload[section] = previous[section]
-    else:
-        payload = dict(previous)
-        payload.update(updates)
+    payload = dict(previous)
+    payload.update(updates)
     payload.pop("sections", None)
-    root_bench = payload.pop("bench", None)
-    if root_bench and root_bench != "merged":
-        sections["perf"] = root_bench
     for name in BENCH_SECTIONS:
         entry = payload.get(name)
         if isinstance(entry, dict) and entry.get("bench"):

@@ -1,5 +1,5 @@
 """Million-vertex scale benchmark: the columnar state engine A/B-ed
-against the delta-path object store.
+against the object store.
 
 The protocol benches (``perf``, ``delta``, ``live``) measure the
 simulated runtime end to end; this one isolates the layer the columnar
@@ -10,8 +10,8 @@ engine (:class:`repro.core.columnar.BulkRunner` — ``bincount`` /
 ``np.minimum.at`` passes over flat edge arrays), and every sweep's
 changed vertices are committed twice, into:
 
-* the **delta-path object store** (``delta_path=True`` — per-key
-  Python chains, the baseline every prior PR optimised), and
+* the **object store** (the default — per-key Python chains, the
+  baseline every prior PR optimised), and
 * the **columnar store** (``columnar=True`` — one ``put_columns``
   column slab per sweep, folded by batched rebases).
 
@@ -53,8 +53,8 @@ FULL_SCALE = (1 << 20, 4 << 20)
 QUICK_SCALE = (1 << 14, 4 << 14)
 PAGERANK_SWEEPS = 5
 MAX_SWEEPS = 30
-#: Apply-throughput speedup floors, columnar over delta-path object
-#: store: the acceptance floor at full size, looser in CI smoke (shared
+#: Apply-throughput speedup floors, columnar over the object store:
+#: the acceptance floor at full size, looser in CI smoke (shared
 #: runners; small slabs amortise less).
 APPLY_FLOOR = 5.0
 QUICK_APPLY_FLOOR = 2.0
@@ -89,7 +89,7 @@ def _sweep_steps(name: str, n_vertices: int, src: np.ndarray,
 
 
 def _make_store(columnar: bool) -> VersionedStore:
-    return VersionedStore(delta_path=True, columnar=columnar)
+    return VersionedStore(columnar=columnar)
 
 
 def _apply_steps(store: VersionedStore,

@@ -106,9 +106,9 @@ def measure_mode(mode: str, n_vertices: int = N_VERTICES,
 
 def skew_section(n_vertices: int = N_VERTICES, n_edges: int = N_EDGES,
                  rate: float = STREAM_RATE) -> dict[str, Any]:
-    """The ``skew`` block of ``BENCH_perf.json``: per-mode virtual-time
-    results plus the live/pause throughput ratio and the same-seed
-    determinism digest (all machine independent)."""
+    """Per-mode virtual-time results plus the live/pause throughput
+    ratio and the same-seed determinism digests (all machine
+    independent)."""
     runs = {mode: measure_mode(mode, n_vertices, n_edges, rate)
             for mode in MODES}
     repeat = measure_mode("live", n_vertices, n_edges, rate,

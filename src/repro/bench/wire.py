@@ -80,7 +80,7 @@ LIVE_WORKERS = 2
 #: --check-baseline job holds the committed numbers to).
 PROTOCOL_FLOOR, QUICK_PROTOCOL_FLOOR = 2.0, 1.3
 #: Fixed weighted graph for the traced parity pair (same shape as the
-#: delta-path determinism suite: a reachable core plus shortcuts).
+#: session-window determinism suite: a reachable core plus shortcuts).
 PARITY_EDGES = [
     ("s", "a", 1.0), ("s", "b", 4.0), ("a", "c", 2.0), ("b", "c", 1.0),
     ("c", "d", 3.0), ("d", "e", 1.0), ("b", "e", 9.0), ("e", "f", 2.0),
@@ -112,7 +112,7 @@ def _seeded_leg_job(columnar_wire: bool) -> TornadoJob:
     app = Application(SSSPProgram("v0"), EdgeStreamRouter(), name="sssp")
     job = TornadoJob(app, TornadoConfig(
         n_processors=1, report_interval=0.02, storage_backend="memory",
-        delta_path=True, columnar_wire=columnar_wire, seed=11))
+        columnar_wire=columnar_wire, seed=11))
     stream = edge_stream(_chain_edges(LEG_CHAIN), UniformRate(rate=1e5))
     job.feed(stream)
     total = len(stream)
@@ -192,7 +192,7 @@ def _dense_sim_run(wire: bool, size: tuple[int, int]) -> dict[str, Any]:
                       name="pagerank")
     job = TornadoJob(app, TornadoConfig(
         n_processors=4, report_interval=0.02, storage_backend="memory",
-        delta_path=True, columnar_wire=wire, seed=11))
+        columnar_wire=wire, seed=11))
     started = time.perf_counter()
     job.feed(stream)
     total = len(stream)
@@ -237,7 +237,7 @@ def _live_run(edges: list, wire: bool, timeout: float) -> dict[str, Any]:
     started = time.perf_counter()
     job = TornadoJob(app, TornadoConfig(
         backend="live", n_processors=LIVE_WORKERS, report_interval=0.02,
-        storage_backend="memory", delta_path=True, columnar_wire=wire,
+        storage_backend="memory", columnar_wire=wire,
         seed=7))
     try:
         job.feed(stream)
@@ -284,7 +284,7 @@ def _traced_digests(wire: bool, chaos: bool) -> tuple[str, str]:
     app = Application(SSSPProgram("s"), EdgeStreamRouter(), name="sssp")
     job = TornadoJob(app, TornadoConfig(
         n_processors=3, report_interval=0.01, retransmit_timeout=0.1,
-        storage_backend="memory", delta_path=True, columnar_wire=wire,
+        storage_backend="memory", columnar_wire=wire,
         trace_enabled=True, seed=5))
     job.feed(edge_stream(PARITY_EDGES, UniformRate(rate=1000.0)))
     if chaos:

@@ -72,25 +72,7 @@ class TornadoConfig:
     #: flight-recorder oracle (``repro.live.oracle``).
     backend: str = "sim"
 
-    # -------------------------------------------------------------- kernel
-    #: Kernel fast path: timer wheel for fixed-delay timers, tombstone
-    #: compaction in the event heap, same-instant message coalescing.
-    #: ``False`` runs the legacy heap-only kernel — same seed, byte
-    #: identical trace, just slower (kept as the A/B perf baseline).
-    fast_path: bool = True
-
-    #: Delta path (sender-side combiners + batched scatter I/O + the
-    #: versioned-store per-loop index/cache).  Scatters bound for the
-    #: same destination processor within one dispatch window ride one
-    #: envelope, merged per ``(producer, consumer)`` when the program
-    #: declares an ``update_combiner``; the store keeps per-loop key
-    #: indexes, pending delta logs with periodic rebasing, and an LRU
-    #: snapshot cache.  ``False`` runs the legacy one-envelope-per-value
-    #: one-version-per-call path byte for byte (the A/B perf baseline —
-    #: same precedent as ``fast_path``).  Converged results are identical
-    #: either way; message counts and virtual timings are not.
-    delta_path: bool = True
-
+    # ------------------------------------------------------------- layouts
     #: Columnar vertex-state engine: the versioned store keeps per-loop
     #: numpy column slabs ((slot << 32) | iteration composites + object
     #: value columns, pending slab log, batched rebases) instead of
@@ -98,8 +80,8 @@ class TornadoConfig:
     #: declare an algebra vector spec gather through numpy kernels.
     #: ``False`` (the default) runs the object-layout store byte for
     #: byte — same seed, byte-identical flight-recorder digests either
-    #: way (the scalar path is the oracle, same precedent as
-    #: ``fast_path``/``delta_path``).
+    #: way (the scalar path is the oracle; first of three A/B gates,
+    #: with ``columnar_wire`` and ``placement``).
     columnar: bool = False
 
     #: Columnar *wire* regime: at session-window flush, same-``(loop,
@@ -110,11 +92,10 @@ class TornadoConfig:
     #: of per-vertex ``VertexUpdate`` objects; the receiver gathers the
     #: rows through a batched fast path.  Scalar fallback covers
     #: unconvertible values, mid-window owner flips and non-vector
-    #: programs.  Requires ``delta_path`` (the pack happens at window
-    #: flush).  ``False`` (the default) ships per-vertex objects byte for
-    #: byte — same seed, byte-identical flight-recorder digests either
-    #: way, sim and live (fifth A/B gate, same precedent as
-    #: ``fast_path``/``delta_path``/``columnar``/``placement``).
+    #: programs.  ``False`` (the default) ships per-vertex objects byte
+    #: for byte — same seed, byte-identical flight-recorder digests
+    #: either way, sim and live (second A/B gate, same precedent as
+    #: ``columnar``).
     columnar_wire: bool = False
 
     # ------------------------------------------------------ iteration model
@@ -139,12 +120,12 @@ class TornadoConfig:
     storage_backend: str = "disk"
     disk_seek_cost: float = 1.5e-3
     disk_record_cost: float = 2e-6
-    #: Pending-log length that triggers a store rebase on write (delta
-    #: and columnar layouts; the columnar layout additionally grows the
-    #: threshold geometrically with the base slab).
+    #: Pending-log length that triggers a store rebase on write (the
+    #: columnar layout additionally grows the threshold geometrically
+    #: with the base slab).
     store_rebase_interval: int = 16
     #: Distinct ``(loop, bound)`` snapshot views kept by the store's LRU
-    #: snapshot cache (delta and columnar layouts).
+    #: snapshot cache.
     store_snapshot_cache_size: int = 32
 
     # ------------------------------------------------------------- control
@@ -245,10 +226,9 @@ class TornadoConfig:
             raise ValueError("delay_bound must be >= 1")
         if self.storage_backend not in ("disk", "memory"):
             raise ValueError(f"unknown backend: {self.storage_backend!r}")
-        if self.columnar_wire and not self.delta_path:
+        if self.backend == "live" and self.rebalance_enabled:
             raise ValueError(
-                "columnar_wire requires delta_path (column packing "
-                "happens at session-window flush)")
+                "backend='live' does not support the rebalancer yet")
         if self.store_rebase_interval < 1:
             raise ValueError("store_rebase_interval must be >= 1")
         if self.store_snapshot_cache_size < 1:

@@ -84,7 +84,7 @@ class Algebra:
         Equality escape hatch, e.g. tolerance comparisons.
     combine_updates:
         Optional associative ``(older, newer) -> merged`` combiner the
-        delta path applies to same-``(producer, consumer)`` offers that
+        session window applies to same-``(producer, consumer)`` offers that
         share a dispatch window.  Slot-replacement semantics make
         last-wins (:func:`repro.core.vertex.replace_update`) sound for
         every algebra; ``None`` keeps batching without merging.

@@ -91,8 +91,7 @@ class TornadoJob:
         self.sim = Simulator(
             seed=self.config.seed,
             recorder=TraceRecorder(capacity=self.config.trace_capacity,
-                                   enabled=self.config.trace_enabled),
-            fast_path=self.config.fast_path)
+                                   enabled=self.config.trace_enabled))
         self.network = Network(
             self.sim,
             latency=self.config.net_latency,
@@ -108,7 +107,6 @@ class TornadoJob:
         #: resource-aware plan on re-submission.
         self._link_scores: dict[tuple[str, str], float] | None = None
         self.store = VersionedStore(
-            delta_path=self.config.delta_path,
             columnar=self.config.columnar,
             rebase_interval=self.config.store_rebase_interval,
             snapshot_cache_size=self.config.store_snapshot_cache_size)

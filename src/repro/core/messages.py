@@ -46,7 +46,7 @@ class VertexUpdate:
 @dataclass(frozen=True, slots=True)
 class SessionBatch:
     """Several session messages of one loop for one destination
-    processor, riding a single reliable envelope (the delta path's
+    processor, riding a single reliable envelope (the session window's
     sender-side batching).  ``payloads`` holds :class:`VertexUpdate`,
     :class:`Prepare` and :class:`Acknowledge` messages in their original
     send order, so per-link protocol ordering (an update may never be
@@ -104,7 +104,7 @@ class ColumnBatch:
 
 @dataclass(frozen=True, slots=True)
 class ReleasedUpdate:
-    """Delta-path re-delivery wrapper for an update leaving the delay
+    """Re-delivery wrapper for an update leaving the delay
     buffer.  The wrapper tells the dispatcher this message was already
     ordered by the buffer (apply it, do not park it again) and carries
     the per-pair bookkeeping that keeps later same-``(producer,

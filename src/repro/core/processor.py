@@ -62,8 +62,8 @@ class LoopState:
         self.gathered_total = 0
         # Updates blocked by the delay bound, keyed by their iteration.
         self.buffered_updates: list[tuple[int, int, VertexUpdate]] = []
-        # Delta path: (producer, consumer) pairs with updates released
-        # from the delay buffer but not yet re-applied out of the inbox.
+        # (producer, consumer) pairs with updates released from the delay
+        # buffer but not yet re-applied out of the inbox.
         # While a pair is listed, later arrivals for it must park behind
         # the in-flight release — an inline apply would overtake it and
         # let the older offer replay last.  (Updates still *in* the heap
@@ -204,7 +204,7 @@ class Processor(Actor):
         self._partition_epoch = 0
         self._m_migrated = metrics.counter("core.vertices_migrated")
         self._g_migrating = metrics.gauge(f"core.{name}.migrating")
-        # ------------------------------------------------------ delta path
+        # ------------------------------------------------- session window
         # Sender-side session window: all outbound session traffic of one
         # dispatch (committed updates, PREPAREs, ACKs) buffered per loop
         # as one ordered entry list, then flushed at the end of the
@@ -217,9 +217,7 @@ class Processor(Actor):
         # consumer) scatters in one window merge into a single update at
         # the merged (max) iteration; the ``index`` map points at the
         # latest update cell per pair.
-        self._delta_scatter = config.delta_path
-        self._combiner = (app.program.update_combiner
-                          if config.delta_path else None)
+        self._combiner = app.program.update_combiner
         self._session_window: dict[str, tuple[list, dict]] = {}
         self._m_scatter_buffered = metrics.counter("core.scatter_buffered")
         self._m_scatter_batches = metrics.counter("core.scatter_batches")
@@ -241,7 +239,7 @@ class Processor(Actor):
         spec = getattr(app.program, "vector_spec", None)
         self._wire_type = (WIRE_PACK_TYPES.get(spec.dtype)
                            if spec is not None else None)
-        self._wire_pack = bool(config.columnar_wire and config.delta_path
+        self._wire_pack = bool(config.columnar_wire
                                and self._wire_type is not None)
         # The row fast path may skip the per-row gather_cost call only
         # while the program keeps the base-class default (always None).
@@ -368,19 +366,16 @@ class Processor(Actor):
         # later: the peer's dedup window died with it, so the copy would
         # land as fresh — and a stale PREPARE arriving after its producer
         # committed leaves a ghost prepare_list entry nothing ever clears.
-        # Live rounds re-send theirs below.  On the delta path a PREPARE
-        # may ride a session batch; dropping the whole batch is safe —
-        # the updates in it are re-derived by the re-scatter below, and
-        # ACKs to a rolled-back preparation are void anyway.
-        if self._delta_scatter:
-            self.transport.purge_unacked(
-                msg.processor,
-                predicate=lambda p: isinstance(p, Prepare)
-                or (isinstance(p, SessionBatch)
-                    and any(isinstance(q, Prepare) for q in p.payloads))
-                or (isinstance(p, ColumnBatch) and p.has_prepare()))
-        else:
-            self.transport.purge_unacked(msg.processor, (Prepare,))
+        # Live rounds re-send theirs below.  A PREPARE may ride a session
+        # batch; dropping the whole batch is safe — the updates in it are
+        # re-derived by the re-scatter below, and ACKs to a rolled-back
+        # preparation are void anyway.
+        self.transport.purge_unacked(
+            msg.processor,
+            predicate=lambda p: isinstance(p, Prepare)
+            or (isinstance(p, SessionBatch)
+                and any(isinstance(q, Prepare) for q in p.payloads))
+            or (isinstance(p, ColumnBatch) and p.has_prepare()))
         owner = self.partition.owner
         for loop in self.loops.values():
             for vertex_id, state in loop.vertices.items():
@@ -407,17 +402,13 @@ class Processor(Actor):
                 for consumer in sorted(protocol.waiting_list, key=repr):
                     if self.partition.owner(consumer) != msg.processor:
                         continue
-                    prepare = Prepare(loop.name, vertex_id, consumer,
-                                      protocol.update_time)
-                    if self._delta_scatter:
-                        # Through the window, so re-scattered updates
-                        # buffered above are not overtaken by this
-                        # PREPARE on the same link.
-                        self._buffer_prepare(loop, consumer, prepare)
-                    else:
-                        self.transport.send(msg.processor, prepare,
-                                            tag=loop.name)
-                        cost += self.config.control_cost
+                    # Through the window, so re-scattered updates buffered
+                    # above are not overtaken by this PREPARE on the
+                    # same link.
+                    self._buffer_prepare(
+                        loop, consumer,
+                        Prepare(loop.name, vertex_id, consumer,
+                                protocol.update_time))
         return cost
 
     def _forward_if_not_owner(self, vertex_id: Any, payload: Any) -> bool:
@@ -592,7 +583,7 @@ class Processor(Actor):
             return self.config.control_cost
         blocked_at = loop.frontier + self.config.delay_bound - 1
         must_park = msg.iteration >= blocked_at
-        if self._delta_scatter and not released and not must_park:
+        if not released and not must_park:
             # Per-pair FIFO: while an earlier same-(producer, consumer)
             # update released from the delay buffer is still in inbox
             # transit, a fresh arrival must park behind it.  Applying it
@@ -618,7 +609,7 @@ class Processor(Actor):
     def _apply_update(self, loop: LoopState, msg: VertexUpdate) -> float:
         state, protocol = self._ensure_vertex(loop, msg.consumer)
         if self._combiner is not None:
-            # Stale-update guard (delta path, last-wins algebras only):
+            # Stale-update guard (last-wins algebras only):
             # the delay-buffer release path can apply a parked update
             # *after* a fresher one from the same producer was gathered
             # inline; for slot-replacement semantics the stale offer is
@@ -661,7 +652,7 @@ class Processor(Actor):
             cost = self.config.gather_cost
         return cost + self._try_prepare(loop, msg.consumer)
 
-    # ----------------------------------------------------------- delta path
+    # ------------------------------------------------------- session window
     def _window_for(self, loop_name: str) -> tuple[list, dict]:
         window = self._session_window.get(loop_name)
         if window is None:
@@ -1028,20 +1019,16 @@ class Processor(Actor):
         cost = 0.0
         for action in actions:
             if isinstance(action, SendPrepare):
-                prepare = Prepare(loop.name, vertex_id, action.consumer,
-                                  action.update_time)
-                if self._delta_scatter:
-                    # Session window: the window keeps send order, so the
-                    # consumer still sees this vertex's buffered update
-                    # for iteration i before the PREPARE announcing i+1
-                    # (the update discards our prepare_list entry on
-                    # arrival — overtaking it would erase the new
-                    # announcement).  Envelope cost is paid at flush.
-                    self._buffer_prepare(loop, action.consumer, prepare)
-                else:
-                    owner = self.partition.owner(action.consumer)
-                    self.transport.send(owner, prepare, tag=loop.name)
-                    cost += self.config.control_cost
+                # Session window: the window keeps send order, so the
+                # consumer still sees this vertex's buffered update for
+                # iteration i before the PREPARE announcing i+1 (the
+                # update discards our prepare_list entry on arrival —
+                # overtaking it would erase the new announcement).
+                # Envelope cost is paid at flush.
+                self._buffer_prepare(
+                    loop, action.consumer,
+                    Prepare(loop.name, vertex_id, action.consumer,
+                            action.update_time))
                 loop.prepares_recorded += 1
                 self.total_prepares += 1
                 self._m_prepares.inc()
@@ -1051,18 +1038,13 @@ class Processor(Actor):
                         actor=self.name, loop=loop.name,
                         iteration=loop.protocols[vertex_id].iteration)
             elif isinstance(action, SendAck):
-                ack = Acknowledge(loop.name, vertex_id, action.producer,
-                                  action.iteration)
-                if self._delta_scatter:
-                    # Window order keeps the legacy scatters-before-
-                    # pended-acks link order: the producer's commit
-                    # (triggered by this ACK) gathers our update first,
-                    # as it would have un-batched.
-                    self._buffer_ack(loop, action.producer, ack)
-                else:
-                    owner = self.partition.owner(action.producer)
-                    self.transport.send(owner, ack, tag=loop.name)
-                    cost += self.config.control_cost
+                # Window order keeps the scatters-before-pended-acks link
+                # order: the producer's commit (triggered by this ACK)
+                # gathers our update first, as it would have un-batched.
+                self._buffer_ack(
+                    loop, action.producer,
+                    Acknowledge(loop.name, vertex_id, action.producer,
+                                action.iteration))
                 self._m_acks.inc()
                 if self._trace.enabled:
                     self._trace.record(self.sim.now, "protocol", "ack",
@@ -1102,28 +1084,15 @@ class Processor(Actor):
         ctx = VertexContext(state, loop.name, iteration)
         self.app.program.scatter(ctx)
         emitted = ctx.take_emitted()
-        if self._delta_scatter:
-            # Delta path: park the scatters in the window; the flush
-            # accounts sent counters (post-merge, at the merged
-            # iteration) and pays the per-envelope cost.
-            # Sorted scatter order: ``emitted`` inherits the iteration
-            # order of the program's target set, which varies with hash
-            # randomisation across interpreters (live backend workers).
-            for target, data in sorted(emitted.items(),
-                                       key=lambda kv: repr(kv[0])):
-                self._buffer_scatter(loop, vertex_id, target, iteration,
-                                     data)
-            cost = self.config.control_cost
-        else:
-            for target, data in sorted(emitted.items(),
-                                       key=lambda kv: repr(kv[0])):
-                owner = self.partition.owner(target)
-                self.transport.send(owner, VertexUpdate(
-                    loop.name, vertex_id, target, iteration, data),
-                    tag=loop.name)
-            loop.counter(iteration)[1] += len(emitted)
-            loop.sent_total += len(emitted)
-            cost = self.config.control_cost * (1 + len(emitted))
+        # Park the scatters in the window; the flush accounts sent
+        # counters (post-merge, at the merged iteration) and pays the
+        # per-envelope cost.  Sorted scatter order: ``emitted`` inherits
+        # the iteration order of the program's target set, which varies
+        # with hash randomisation across interpreters (live workers).
+        for target, data in sorted(emitted.items(),
+                                   key=lambda kv: repr(kv[0])):
+            self._buffer_scatter(loop, vertex_id, target, iteration, data)
+        cost = self.config.control_cost
         # Gather the inputs that arrived during the preparation.
         deferred = loop.buffered_inputs.pop(vertex_id, None)
         if deferred:
@@ -1140,22 +1109,18 @@ class Processor(Actor):
         """Requeue delay-buffered updates that dropped below the bound.
 
         Releases go back through the inbox so each one pays message cost.
-        On the delta path they travel wrapped in :class:`ReleasedUpdate`:
-        the wrapper marks them as already ordered by the buffer (apply,
-        do not re-park) and holds a ``released_pairs`` entry until the
-        update actually applies, so a fresh same-pair arrival cannot
-        slip past it while it waits in the inbox."""
+        They travel wrapped in :class:`ReleasedUpdate`: the wrapper marks
+        them as already ordered by the buffer (apply, do not re-park) and
+        holds a ``released_pairs`` entry until the update actually
+        applies, so a fresh same-pair arrival cannot slip past it while
+        it waits in the inbox."""
         blocked_at = loop.frontier + self.config.delay_bound - 1
         while (loop.buffered_updates
                and loop.buffered_updates[0][0] < blocked_at):
             _iteration, _seq, update = heapq.heappop(loop.buffered_updates)
-            if self._delta_scatter:
-                pair = (update.producer, update.consumer)
-                loop.released_pairs[pair] = (
-                    loop.released_pairs.get(pair, 0) + 1)
-                self.deliver(ReleasedUpdate(update), self.name)
-            else:
-                self.deliver(update, self.name)
+            pair = (update.producer, update.consumer)
+            loop.released_pairs[pair] = loop.released_pairs.get(pair, 0) + 1
+            self.deliver(ReleasedUpdate(update), self.name)
         self._g_delay_buffer.set(len(loop.buffered_updates))
 
     def _handle_released(self, msg: VertexUpdate) -> float:
@@ -1337,13 +1302,11 @@ class Processor(Actor):
         # Updates parked by the delay bound were never gathered: fold them
         # into the branch copies directly.
         if not batch_mode:
-            # Delta path: fold in buffer (arrival) order so a stale
-            # same-pair offer cannot land after a fresher one; the raw
-            # heap array is only partially ordered.  (iteration, seq)
-            # keys are unique, so sorted() never compares the updates.
-            buffered = (sorted(main.buffered_updates) if self._delta_scatter
-                        else main.buffered_updates)
-            for _iteration, _seq, update in buffered:
+            # Fold in buffer (arrival) order so a stale same-pair offer
+            # cannot land after a fresher one; the raw heap array is only
+            # partially ordered.  (iteration, seq) keys are unique, so
+            # sorted() never compares the updates.
+            for _iteration, _seq, update in sorted(main.buffered_updates):
                 if update.consumer not in rank:
                     continue
                 b_state, b_protocol = self._ensure_vertex(branch,
@@ -1675,7 +1638,7 @@ class Processor(Actor):
         self._migration_buffer = {}
         self._g_migrating.set(0)
         # Unsent window contents die with the crash, exactly like unsent
-        # legacy envelopes would; recovery re-scatters checkpoints.  The
+        # envelopes would; recovery re-scatters checkpoints.  The
         # buffer pool dies too — pooled buffers may alias pre-crash state.
         self._session_window = {}
         self._spare_window = None

@@ -77,11 +77,11 @@ class VertexProtocol:
         self.dirty = False
         self.commits = 0
         self.prepares_sent = 0
-        # Highest update iteration gathered per producer.  The delta
-        # path's stale-update guard reads this for last-wins algebras:
-        # the delay-buffer release can reorder a parked update behind a
+        # Highest update iteration gathered per producer.  The processor's
+        # stale-update guard reads this for last-wins algebras: the
+        # delay-buffer release can reorder a parked update behind a
         # fresher inline-applied one, and replaying the stale offer would
-        # clobber the newer slot value.  Legacy never consults it.
+        # clobber the newer slot value.
         self.gathered_from: dict[Any, int] = {}
 
     # ------------------------------------------------------------ queries

@@ -115,7 +115,7 @@ class VertexProgram:
     """User-defined vertex behaviour; subclass and override."""
 
     #: Optional associative combiner ``(older, newer) -> merged`` applied
-    #: by the delta path when several updates from the same producer to
+    #: by the session window when several updates from the same producer to
     #: the same consumer share one dispatch window.  ``None`` disables
     #: merging (updates still share an envelope, all are delivered).
     #: Programs whose ``gather`` keeps per-source slots should declare

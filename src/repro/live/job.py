@@ -129,9 +129,6 @@ class LiveJob(TornadoJob):
         self.app = app
         self.config = config if config is not None else TornadoConfig(
             backend="live")
-        if self.config.rebalance_enabled:
-            raise ValueError(
-                "backend='live' does not support the rebalancer yet")
         recorder = TraceRecorder(capacity=self.config.trace_capacity,
                                  enabled=self.config.trace_enabled)
         self.kernel = LiveKernel(seed=self.config.seed, recorder=recorder)
@@ -139,7 +136,6 @@ class LiveJob(TornadoJob):
         #: resolve against the live kernel.
         self.sim = self.kernel
         self.store = VersionedStore(
-            delta_path=self.config.delta_path,
             columnar=self.config.columnar,
             rebase_interval=self.config.store_rebase_interval,
             snapshot_cache_size=self.config.store_snapshot_cache_size)

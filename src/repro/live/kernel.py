@@ -53,8 +53,6 @@ class _Handle:
 class LiveKernel:
     """Drop-in kernel for actors running under real time."""
 
-    fast_path = False
-
     def __init__(self, seed: int = 0,
                  recorder: TraceRecorder | None = None,
                  metrics: MetricsRegistry | None = None) -> None:

@@ -36,10 +36,10 @@ def _native(value: Any) -> Any:
 class WorkerStore(VersionedStore):
     """A VersionedStore that journals every write for shipping."""
 
-    def __init__(self, delta_path: bool = True, columnar: bool = False,
+    def __init__(self, columnar: bool = False,
                  rebase_interval: int | None = None,
                  snapshot_cache_size: int | None = None) -> None:
-        super().__init__(delta_path=delta_path, columnar=columnar,
+        super().__init__(columnar=columnar,
                          rebase_interval=rebase_interval,
                          snapshot_cache_size=snapshot_cache_size)
         self._journal: list[tuple[str, Any, int, Any]] = []

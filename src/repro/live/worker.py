@@ -146,7 +146,6 @@ def worker_main(spec: WorkerSpec, inbound: Any, outbound: Any,
                         peers_in, peers_out)
         partition = PartitionScheme(list(spec.worker_names))
         store = WorkerStore(
-            delta_path=config.delta_path,
             columnar=config.columnar,
             rebase_interval=config.store_rebase_interval,
             snapshot_cache_size=config.store_snapshot_cache_size)

@@ -3,9 +3,7 @@
 Events are ordered by (time, sequence number) so that two events scheduled
 for the same instant fire in the order they were scheduled.  Cancellation
 is lazy: a cancelled event stays in the heap but is skipped when popped.
-Two fast-path mechanisms keep lazy cancellation from dominating the run
-(both enabled by the ``fast_path`` flag, off for the legacy kernel used
-as an A/B baseline):
+Two mechanisms keep lazy cancellation from dominating the run:
 
 * **Tombstone compaction** — when more than half of the heap entries are
   cancelled (and the heap is non-trivial), the heap is rebuilt without
@@ -22,7 +20,7 @@ as an A/B baseline):
   have had.  Keeping the tail map message-only (plus the ``_tailed``
   flag) keeps plain schedule/pop traffic off the dict entirely.
 
-Independent of the flag, the queue maintains an accurate :attr:`pending`
+The queue maintains an accurate :attr:`pending`
 count of live callback units — cancelled tombstones excluded, coalesced
 batch units included — which is what the kernel reports as queue depth.
 """
@@ -90,20 +88,14 @@ class EventQueue:
 
     Parameters
     ----------
-    fast_path:
-        Enable tombstone compaction and the coalescing bookkeeping.
-        ``False`` reproduces the pre-fast-path behaviour (pure lazy
-        cancellation), which the perf harness uses as its baseline.
     counter:
         Optional shared sequence-number source (the kernel passes one
         shared with its :class:`~repro.simulator.timers.TimerWheel`).
     """
 
-    def __init__(self, fast_path: bool = True,
-                 counter: Iterator[int] | None = None) -> None:
+    def __init__(self, counter: Iterator[int] | None = None) -> None:
         self._heap: list[tuple[float, int, Event]] = []
         self._counter = counter if counter is not None else itertools.count()
-        self.fast_path = fast_path
         self._pending = 0
         self._cancelled = 0
         # time -> last event pushed at that time (coalescing support).
@@ -214,10 +206,9 @@ class EventQueue:
         self._cancelled += 1
         if event._tailed and self._tail.get(event.time) is event:
             del self._tail[event.time]
-        if self.fast_path:
-            if (self._cancelled * 2 > len(self._heap)
-                    and len(self._heap) >= COMPACT_MIN_SIZE):
-                self._compact()
+        if (self._cancelled * 2 > len(self._heap)
+                and len(self._heap) >= COMPACT_MIN_SIZE):
+            self._compact()
 
     def _compact(self) -> None:
         """Rebuild the heap without tombstones: O(n) once, instead of the

@@ -5,9 +5,8 @@ registry.  Everything above it — the Storm layer, the Tornado runtime, the
 baseline engines — advances time exclusively by scheduling events, which
 makes every experiment in this repository fully deterministic.
 
-The kernel has a **fast path** (on by default, see ``fast_path``) that
-removes the three dominant costs of the pure-heap design without changing
-any simulated-time semantics:
+Three mechanisms remove the dominant costs of a pure-heap design without
+changing any simulated-time semantics:
 
 * fixed-delay timers (:meth:`Simulator.schedule_timer`) live on a
   :class:`~repro.simulator.timers.TimerWheel` — O(1) schedule and true
@@ -18,9 +17,9 @@ any simulated-time semantics:
   into one heap entry that the run loop expands unit by unit, in the
   exact order the individual events would have fired.
 
-``fast_path=False`` reproduces the pre-fast-path kernel event for event:
-the same seed yields a byte-identical flight-recorder trace in both
-modes, which is the regression oracle for this entire module.
+The regression oracles are a property test against a plain lazy-cancel
+heap (``tests/test_property_timerwheel.py``) and a pinned flight-recorder
+digest (``tests/test_obs_determinism.py``).
 """
 
 from __future__ import annotations
@@ -61,23 +60,16 @@ class Simulator:
         one boolean check per guarded site when off.
     metrics:
         Shared metrics registry (always on; instruments are cheap).
-    fast_path:
-        Enable the timer wheel, tombstone compaction and same-instant
-        message coalescing.  ``False`` runs the legacy heap-only kernel
-        (same event order, same trace — just slower), kept as the A/B
-        baseline for the perf harness and the determinism oracle.
     """
 
     def __init__(self, seed: int = 0,
                  recorder: TraceRecorder | None = None,
-                 metrics: MetricsRegistry | None = None,
-                 fast_path: bool = True) -> None:
+                 metrics: MetricsRegistry | None = None) -> None:
         self._now = 0.0
-        self.fast_path = fast_path
         # One sequence counter shared by the heap and the wheel puts all
         # scheduled work in a single total (time, seq) order.
         self._seq = itertools.count()
-        self._queue = EventQueue(fast_path=fast_path, counter=self._seq)
+        self._queue = EventQueue(counter=self._seq)
         self._wheel = TimerWheel(counter=self._seq)
         # A partially-dispatched coalesced batch (event, next unit index):
         # the run loop can be interrupted between units by stop() or an
@@ -121,12 +113,12 @@ class Simulator:
     def schedule_timer(self, delay: float, callback: Callable[..., Any],
                        *args: Any) -> Scheduled:
         """Like :meth:`schedule`, for recurring fixed-delay timers —
-        retransmit timeouts, tick chains, heartbeats.  On the fast path
-        these live on the timer wheel: O(1) to schedule and O(1) *true*
+        retransmit timeouts, tick chains, heartbeats.  These live on the
+        timer wheel: O(1) to schedule and O(1) *true*
         removal on cancel, instead of a heap tombstone."""
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past: {delay}")
-        if self.fast_path and delay > 0:
+        if delay > 0:
             timer = self._wheel.schedule(self._now + delay, delay,
                                          callback, args)
             if timer is not None:
@@ -138,9 +130,9 @@ class Simulator:
     def schedule_message(self, delay: float, callback: Callable[..., Any],
                          *args: Any) -> Scheduled | None:
         """Like :meth:`schedule`, for delivery-style callbacks that are
-        never cancelled.  On the fast path, a burst of same-callback
-        sends landing at the same instant coalesces into one heap entry
-        (returns ``None`` for coalesced sends).  Safe by construction:
+        never cancelled.  A burst of same-callback sends landing at the
+        same instant coalesces into one heap entry (returns ``None`` for
+        coalesced sends).  Safe by construction:
         a batch only absorbs a send while it is still the newest entry
         at that instant — on the heap (``tail_event``) *and* on the
         wheel (``has_deadline``) — so expansion order equals the
@@ -148,14 +140,12 @@ class Simulator:
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past: {delay}")
         time = self._now + delay
-        if self.fast_path:
-            tail = self._queue.tail_event(time)
-            if (tail is not None and tail.callback == callback
-                    and not self._wheel.has_deadline(time)):
-                self._queue.extend(tail, args)
-                return None
-            return self._queue.push(time, callback, *args, track=True)
-        return self._queue.push(time, callback, *args)
+        tail = self._queue.tail_event(time)
+        if (tail is not None and tail.callback == callback
+                and not self._wheel.has_deadline(time)):
+            self._queue.extend(tail, args)
+            return None
+        return self._queue.push(time, callback, *args, track=True)
 
     # --------------------------------------------------------------- actors
     def register(self, actor: "Actor") -> None:

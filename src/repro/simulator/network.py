@@ -216,9 +216,9 @@ class Network:
         if self.trace_links and self.sim.trace.enabled:
             self.sim.trace.record(now, "net", "send", actor=src, dst=dst,
                                   eta=now + delay)
-        # Delivery events are never cancelled, so a same-instant burst on
-        # the fast path coalesces into one heap entry (the kernel expands
-        # it in send order; capacity above was still charged per message).
+        # Delivery events are never cancelled, so a same-instant burst
+        # coalesces into one heap entry (the kernel expands it in send
+        # order; capacity above was still charged per message).
         self.sim.schedule_message(delay, self._deliver, dst, message, src)
 
     def _deliver(self, dst: str, message: Any, src: str) -> None:

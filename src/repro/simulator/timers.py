@@ -7,7 +7,7 @@ the tree completes) and self-rescheduling tick chains.  On the binary
 heap each of those costs O(log n) to schedule and leaves a tombstone
 behind on cancel that inflates every later heap operation.
 
-This module provides the fast path for them.  A classic hierarchical
+This module takes them off the heap.  A classic hierarchical
 timer wheel quantises deadlines to tick buckets, which would change
 simulated-time semantics — firing times here are exact floats and must
 stay exact.  The structural trick that survives without quantisation:

@@ -6,14 +6,9 @@ chain of ``(iteration, value)`` versions.  Branch loops snapshot the main
 loop by reading, for each vertex, the most recent version whose iteration is
 not greater than the fork iteration (paper §5.2).
 
-Three layouts, A/B-gated by ``delta_path`` / ``columnar`` (mirroring
-the kernel ``fast_path`` precedent):
+Two layouts, A/B-gated by ``columnar``:
 
-* **Legacy** (``delta_path=False``): one flat ``(loop, key) -> chain``
-  dict.  ``keys()`` / ``snapshot()`` / ``drop_loop()`` /
-  ``truncate_before()`` / ``version_count()`` scan every chain in the
-  store — the pre-delta-path implementation, kept as the perf baseline.
-* **Delta** (``delta_path=True``, the default): a per-loop key index
+* **Object chains** (the default): a per-loop key index
   (loop-scoped walks touch only that loop's chains), chains that absorb
   writes into a pending delta log consolidated by periodic *rebases*
   (arrangement-style: the sorted base arrays are rebuilt only every
@@ -26,14 +21,14 @@ the kernel ``fast_path`` precedent):
   value column per loop, a slab-level pending log folded in by batched
   rebases, and vectorized ``get_many`` / ``snapshot`` /
   ``truncate_before`` (see :mod:`repro.storage.columnar`).  Results and
-  dict orderings are identical to the delta layout — same-seed runs
+  dict orderings are identical to the object chains — same-seed runs
   produce byte-identical flight-recorder digests either way; only the
   housekeeping gauges (``rebases``) count different internal events.
   The columnar backend is imported lazily so the object layouts stay
   importable without numpy.
 
 The snapshot LRU cache and per-loop generation counters are shared by
-the delta and columnar layouts.
+both layouts.
 
 Cost-model accounting is split: :attr:`reads` counts *protocol* reads
 (vertex seeding, fork snapshots, query results); runtime housekeeping
@@ -52,8 +47,8 @@ from typing import Any, Iterable
 
 from repro.errors import StorageError
 
-#: Default pending-log length that triggers a rebase on write (delta
-#: and columnar paths); per-store override via ``rebase_interval`` /
+#: Default pending-log length that triggers a rebase on write; per-store
+#: override via ``rebase_interval`` /
 #: :attr:`TornadoConfig.store_rebase_interval`.
 REBASE_INTERVAL = 16
 #: Default number of distinct ``(loop, bound)`` snapshot views kept by
@@ -65,21 +60,13 @@ SNAPSHOT_CACHE_SIZE = 32
 @dataclass
 class _Chain:
     """Version chain for one key: parallel arrays sorted by iteration,
-    plus (delta path only) a pending log of unconsolidated writes."""
+    plus a pending log of unconsolidated writes."""
 
     iterations: list[int] = field(default_factory=list)
     values: list[Any] = field(default_factory=list)
     #: Recent writes not yet merged into the sorted base; readers must
-    #: :meth:`rebase` first.  Legacy-mode chains never populate this.
+    #: :meth:`rebase` first.
     pending: list[tuple[int, Any]] = field(default_factory=list)
-
-    def put(self, iteration: int, value: Any) -> None:
-        index = bisect.bisect_left(self.iterations, iteration)
-        if index < len(self.iterations) and self.iterations[index] == iteration:
-            self.values[index] = value
-        else:
-            self.iterations.insert(index, iteration)
-            self.values.insert(index, value)
 
     def rebase(self) -> None:
         """Fold the pending log into the sorted base (last write per
@@ -145,10 +132,9 @@ class VersionedStore:
     immutability of committed values.
     """
 
-    def __init__(self, delta_path: bool = True, columnar: bool = False,
+    def __init__(self, columnar: bool = False,
                  rebase_interval: int | None = None,
                  snapshot_cache_size: int | None = None) -> None:
-        self.delta_path = delta_path
         self.columnar = columnar
         self.rebase_interval = (REBASE_INTERVAL if rebase_interval is None
                                 else rebase_interval)
@@ -169,7 +155,7 @@ class VersionedStore:
         self.rebases = 0
         self.cache_hits = 0
         self.cache_misses = 0
-        # Delta layout: loop -> key -> chain, plus the snapshot cache
+        # Object chains: loop -> key -> chain, plus the snapshot cache
         # ((loop, bound) -> (generation, view)) and per-loop generations.
         # Cache and generations are shared with the columnar layout.
         self._loops: dict[str, dict[Any, _Chain]] = {}
@@ -177,8 +163,6 @@ class VersionedStore:
                                       tuple[int, dict[Any, Any]]] \
             = OrderedDict()
         self._generation: dict[str, int] = {}
-        # Legacy layout: one flat dict over every loop.
-        self._chains: dict[tuple[str, Any], _Chain] = {}
         # Columnar layout: numpy slab backend, imported lazily so the
         # object layouts stay importable without numpy installed.
         if columnar:
@@ -187,29 +171,22 @@ class VersionedStore:
         else:
             self._col = None
 
-    @property
-    def _indexed(self) -> bool:
-        """Layouts with a per-loop index + snapshot cache."""
-        return self.columnar or self.delta_path
-
     # ----------------------------------------------------------- internals
     def _find(self, loop: str, key: Any) -> _Chain | None:
-        if self.delta_path:
-            chains = self._loops.get(loop)
-            return None if chains is None else chains.get(key)
-        return self._chains.get((loop, key))
+        chains = self._loops.get(loop)
+        return None if chains is None else chains.get(key)
 
-    def _obtain(self, loop: str, key: Any) -> _Chain:
-        if self.delta_path:
-            chains = self._loops.setdefault(loop, {})
-            chain = chains.get(key)
-            if chain is None:
-                chain = chains[key] = _Chain()
-            return chain
-        chain = self._chains.get((loop, key))
+    def _append(self, loop: str, key: Any, iteration: int,
+                value: Any) -> None:
+        """Log one write on the object chains (the caller bumps the
+        generation and counts the put)."""
+        chains = self._loops.setdefault(loop, {})
+        chain = chains.get(key)
         if chain is None:
-            chain = self._chains[(loop, key)] = _Chain()
-        return chain
+            chain = chains[key] = _Chain()
+        chain.pending.append((iteration, value))
+        if len(chain.pending) >= self.rebase_interval:
+            self._settle(chain)
 
     def _settle(self, chain: _Chain) -> None:
         if chain.pending:
@@ -237,45 +214,27 @@ class VersionedStore:
         self.puts += 1
         if self.columnar:
             self._col.put(loop, key, iteration, value)
-            self._bump(loop)
-            return
-        chain = self._obtain(loop, key)
-        if self.delta_path:
-            chain.pending.append((iteration, value))
-            if len(chain.pending) >= self.rebase_interval:
-                self._settle(chain)
-            self._bump(loop)
         else:
-            chain.put(iteration, value)
+            self._append(loop, key, iteration, value)
+        self._bump(loop)
 
     def put_many(self, loop: str,
                  items: Iterable[tuple[Any, int, Any]]) -> int:
         """Batched write: ``(key, iteration, value)`` triples.  Returns
-        the number written.  One generation bump covers the whole batch
-        on the indexed paths (one snapshot-cache invalidation, not N)."""
-        count = 0
-        if self.columnar:
-            for key, iteration, value in items:
-                if iteration < 0:
-                    raise StorageError(f"negative iteration: {iteration}")
-                self._col.put(loop, key, iteration, value)
-                count += 1
-        else:
-            for key, iteration, value in items:
-                if iteration < 0:
-                    raise StorageError(f"negative iteration: {iteration}")
-                chain = self._obtain(loop, key)
-                if self.delta_path:
-                    chain.pending.append((iteration, value))
-                    if len(chain.pending) >= self.rebase_interval:
-                        self._settle(chain)
-                else:
-                    chain.put(iteration, value)
-                count += 1
-        self.puts += count
-        if count and self._indexed:
+        the number written.  All or nothing: every iteration is checked
+        before the first write.  One generation bump covers the whole
+        batch (one snapshot-cache invalidation, not N)."""
+        items = list(items)
+        for _key, iteration, _value in items:
+            if iteration < 0:
+                raise StorageError(f"negative iteration: {iteration}")
+        write = self._col.put if self.columnar else self._append
+        for key, iteration, value in items:
+            write(loop, key, iteration, value)
+        self.puts += len(items)
+        if items:
             self._bump(loop)
-        return count
+        return len(items)
 
     def put_columns(self, loop: str, keys: Any, iterations: Any,
                     values: Any) -> int:
@@ -374,53 +333,41 @@ class VersionedStore:
         while walking it)."""
         if self.columnar:
             return self._col.keys(loop)
-        if self.delta_path:
-            return list(self._loops.get(loop, ()))
-        return [key for chain_loop, key in self._chains
-                if chain_loop == loop]
+        return list(self._loops.get(loop, ()))
 
     def snapshot(self, loop: str, max_iteration: int | None = None,
                  internal: bool = False) -> dict[Any, Any]:
         """Consistent view of a loop: per key, latest version ≤ bound.
-        This is exactly the branch-loop fork read (paper §5.2).  On the
-        delta path, repeated reads of an unchanged loop are served from
-        the LRU cache.  ``internal`` walks (e.g. in-memory result
-        merging) are billed to :attr:`internal_reads`."""
-        if self._indexed:
-            if self.columnar:
-                walked = self._col.key_count(loop)
-            else:
-                walked = len(self._loops.get(loop, {}))
-            cache_key = (loop, max_iteration)
-            generation = self._generation.get(loop, 0)
-            entry = self._snap_cache.get(cache_key)
-            if entry is not None and entry[0] == generation:
-                self._snap_cache.move_to_end(cache_key)
-                self.cache_hits += 1
-                view = dict(entry[1])
-            else:
-                self.cache_misses += 1
-                if self.columnar:
-                    view = self._col.snapshot_view(loop, max_iteration)
-                else:
-                    view = {}
-                    for key, chain in self._loops.get(loop, {}).items():
-                        self._settle(chain)
-                        found = chain.latest(max_iteration)
-                        if found is not None:
-                            view[key] = found[1]
-                self._snap_cache[cache_key] = (generation, dict(view))
-                self._snap_cache.move_to_end(cache_key)
-                while len(self._snap_cache) > self.snapshot_cache_size:
-                    self._snap_cache.popitem(last=False)
+        This is exactly the branch-loop fork read (paper §5.2).  Repeated
+        reads of an unchanged loop are served from the LRU cache.
+        ``internal`` walks (e.g. in-memory result merging) are billed to
+        :attr:`internal_reads`."""
+        if self.columnar:
+            walked = self._col.key_count(loop)
         else:
-            view = {}
-            walked = 0
-            for key in self.keys(loop):
-                walked += 1
-                found = self._latest(loop, key, max_iteration)
-                if found is not None:
-                    view[key] = found[1]
+            walked = len(self._loops.get(loop, {}))
+        cache_key = (loop, max_iteration)
+        generation = self._generation.get(loop, 0)
+        entry = self._snap_cache.get(cache_key)
+        if entry is not None and entry[0] == generation:
+            self._snap_cache.move_to_end(cache_key)
+            self.cache_hits += 1
+            view = dict(entry[1])
+        else:
+            self.cache_misses += 1
+            if self.columnar:
+                view = self._col.snapshot_view(loop, max_iteration)
+            else:
+                view = {}
+                for key, chain in self._loops.get(loop, {}).items():
+                    self._settle(chain)
+                    found = chain.latest(max_iteration)
+                    if found is not None:
+                        view[key] = found[1]
+            self._snap_cache[cache_key] = (generation, dict(view))
+            self._snap_cache.move_to_end(cache_key)
+            while len(self._snap_cache) > self.snapshot_cache_size:
+                self._snap_cache.popitem(last=False)
         if internal:
             self.internal_reads += walked
         else:
@@ -444,39 +391,27 @@ class VersionedStore:
     # ------------------------------------------------------------ lifecycle
     def drop_loop(self, loop: str) -> int:
         """Delete every version of a loop (branch-loop teardown)."""
-        if self._indexed:
-            if self.columnar:
-                count = self._col.drop_loop(loop)
-            else:
-                chains = self._loops.pop(loop, None)
-                count = len(chains) if chains is not None else 0
-            self._generation.pop(loop, None)
-            for cache_key in [k for k in self._snap_cache if k[0] == loop]:
-                del self._snap_cache[cache_key]
-            return count
-        doomed = [pair for pair in self._chains if pair[0] == loop]
-        for pair in doomed:
-            del self._chains[pair]
-        return len(doomed)
+        if self.columnar:
+            count = self._col.drop_loop(loop)
+        else:
+            chains = self._loops.pop(loop, None)
+            count = len(chains) if chains is not None else 0
+        self._generation.pop(loop, None)
+        for cache_key in [k for k in self._snap_cache if k[0] == loop]:
+            del self._snap_cache[cache_key]
+        return count
 
     def truncate_before(self, loop: str, iteration: int) -> int:
         """Garbage-collect versions no snapshot at ≥ ``iteration`` can see."""
-        dropped = 0
         if self.columnar:
             dropped = self._col.truncate_before(loop, iteration)
-            if dropped:
-                self._bump(loop)
-            return dropped
-        if self.delta_path:
+        else:
+            dropped = 0
             for chain in self._loops.get(loop, {}).values():
                 self._settle(chain)
                 dropped += chain.truncate_before(iteration)
-            if dropped:
-                self._bump(loop)
-            return dropped
-        for (chain_loop, _key), chain in self._chains.items():
-            if chain_loop == loop:
-                dropped += chain.truncate_before(iteration)
+        if dropped:
+            self._bump(loop)
         return dropped
 
     def export_versions(self) -> list[tuple[str, Any, int, Any]]:
@@ -489,17 +424,9 @@ class VersionedStore:
             self.internal_reads += len(out)
             return out
         out: list[tuple[str, Any, int, Any]] = []
-        if self.delta_path:
-            groups: Iterable[tuple[str, dict[Any, _Chain]]] \
-                = self._loops.items()
-            for loop, chains in groups:
-                for key, chain in chains.items():
-                    self._settle(chain)
-                    out.extend((loop, key, iteration, value)
-                               for iteration, value
-                               in zip(chain.iterations, chain.values))
-        else:
-            for (loop, key), chain in self._chains.items():
+        for loop, chains in self._loops.items():
+            for key, chain in chains.items():
+                self._settle(chain)
                 out.extend((loop, key, iteration, value)
                            for iteration, value
                            in zip(chain.iterations, chain.values))
@@ -520,30 +447,20 @@ class VersionedStore:
         """
         if self.columnar:
             return self._col.nbytes()
-        per_version = 96
-        if self.delta_path:
-            return per_version * sum(
-                len(chain.iterations) + len(chain.pending)
-                for chains in self._loops.values()
-                for chain in chains.values())
-        return per_version * sum(
-            len(chain.iterations) + len(chain.pending)
-            for chain in self._chains.values())
+        return 96 * sum(len(chain.iterations) + len(chain.pending)
+                        for chains in self._loops.values()
+                        for chain in chains.values())
 
     def version_count(self, loop: str | None = None) -> int:
         if self.columnar:
             return self._col.version_count(loop)
-        if self.delta_path:
-            if loop is None:
-                loops = list(self._loops.values())
-            else:
-                loops = [self._loops.get(loop, {})]
-            total = 0
-            for chains in loops:
-                for chain in chains.values():
-                    self._settle(chain)
-                    total += len(chain.iterations)
-            return total
-        return sum(len(chain.iterations)
-                   for (chain_loop, _key), chain in self._chains.items()
-                   if loop is None or chain_loop == loop)
+        if loop is None:
+            loops = list(self._loops.values())
+        else:
+            loops = [self._loops.get(loop, {})]
+        total = 0
+        for chains in loops:
+            for chain in chains.values():
+                self._settle(chain)
+                total += len(chain.iterations)
+        return total

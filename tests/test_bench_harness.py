@@ -75,15 +75,13 @@ class TestQuickExperiments:
         experiments = _experiments(SMALL)
         assert "table2" in experiments
         assert "fig5-sssp" in experiments
-        assert "perf" in experiments
         assert "skew" in experiments
-        assert "delta" in experiments
         assert "live" in experiments
         assert "scale" in experiments
         assert "tenants" in experiments
         assert "placement" in experiments
         assert "wire" in experiments
-        assert len(experiments) == 26
+        assert len(experiments) == 24
 
 
 class TestMergeBenchJson:
@@ -99,19 +97,6 @@ class TestMergeBenchJson:
         assert data["scale"] == {"speedup": 7.0}
         assert data["placement"] == {"speedup": 2.2}
 
-    def test_replace_base_keeps_known_sections(self, tmp_path):
-        """The perf bench owns the top level; replacing it must carry
-        over the sibling sections but drop stale top-level keys."""
-        path = str(tmp_path / "bench.json")
-        merge_bench_json(path, {"stale_key": 1, "delta": {"v": 1},
-                                "placement": {"v": 2}})
-        payload = merge_bench_json(path, {"fresh_key": 3},
-                                   replace_base=True)
-        assert payload["fresh_key"] == 3
-        assert payload["delta"] == {"v": 1}
-        assert payload["placement"] == {"v": 2}
-        assert "stale_key" not in payload
-
     def test_missing_or_corrupt_file_starts_clean(self, tmp_path):
         path = str(tmp_path / "bench.json")
         payload = merge_bench_json(path, {"live": {"v": 1}})
@@ -123,31 +108,17 @@ class TestMergeBenchJson:
 
     def test_root_is_neutral_with_per_section_provenance(self, tmp_path):
         """The merged file must never masquerade as one writer's report:
-        the perf writer's root bench id moves to sections["perf"], each
-        section's own bench id is indexed by section name."""
+        each section's own bench id is indexed by section name, and the
+        provenance of earlier writers survives later ones."""
         path = str(tmp_path / "bench.json")
-        merge_bench_json(path, {"bench": "kernel_fast_path", "quick": False,
-                                "scenarios": {}}, replace_base=True)
+        merge_bench_json(path, {"bench": "someone", "quick": False,
+                                "scale": {"bench": "columnar_store"}})
         payload = merge_bench_json(
             path, {"wire": {"bench": "columnar_wire", "speedup": 2.0}})
         assert payload["bench"] == "merged"
-        assert payload["sections"]["perf"] == "kernel_fast_path"
-        assert payload["sections"]["wire"] == "columnar_wire"
-        assert payload["quick"] is False  # perf's top level survives
-
-    def test_provenance_survives_base_replacement(self, tmp_path):
-        """Re-running the perf writer keeps the sibling sections *and*
-        their recorded provenance."""
-        path = str(tmp_path / "bench.json")
-        merge_bench_json(path, {"delta": {"bench": "delta_path"}})
-        merge_bench_json(path, {"bench": "kernel_fast_path"},
-                         replace_base=True)
-        with open(path, encoding="utf-8") as handle:
-            data = json.load(handle)
-        assert data["bench"] == "merged"
-        assert data["sections"] == {"perf": "kernel_fast_path",
-                                    "delta": "delta_path"}
-        assert data["delta"] == {"bench": "delta_path"}
+        assert payload["sections"] == {"scale": "columnar_store",
+                                       "wire": "columnar_wire"}
+        assert payload["quick"] is False  # other top-level keys survive
 
     def test_output_is_deterministic(self, tmp_path):
         a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")

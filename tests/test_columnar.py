@@ -276,16 +276,15 @@ class TestBulkRunner:
         steps = list(BulkRunner(store=None).sssp_sweep(
             n, src, dst, weights, root=0))
         views = {}
-        for layout in ("legacy", "columnar"):
-            store = VersionedStore(delta_path=False) if layout == "legacy" \
-                else VersionedStore(columnar=True)
-            runner = BulkRunner(store)
+        for layout in ("chains", "columnar"):
+            runner = BulkRunner(
+                VersionedStore(columnar=layout == "columnar"))
             for iteration, ids, values in steps:
                 runner.apply(iteration, ids, values)
             views[layout] = runner.final_values()
             assert all(type(k) is int for k in views[layout])
             assert all(type(v) is float for v in views[layout].values())
-        assert views["legacy"] == views["columnar"]
+        assert views["chains"] == views["columnar"]
 
 
 # ------------------------------------------------------ live slab path

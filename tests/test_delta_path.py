@@ -1,10 +1,10 @@
-"""Delta-path A/B tests (sender-side combiners + batched session I/O).
+"""Delta-path tests (sender-side combiners + batched session I/O).
 
-The delta path may reorder, merge and batch session messages, but it must
-be *observably* identical to the legacy one-envelope-per-value path: the
-same converged vertex states on every program — with or without a
-declared combiner, under arbitrary kill/recover schedules — and
-deterministic (byte-identical traces) under a fixed seed on each path.
+The session window may reorder, merge and batch session messages, but it
+must be *observably* exact: the converged vertex states equal Dijkstra's
+on every program — with or without a declared combiner, under arbitrary
+kill/recover schedules — and runs are deterministic (byte-identical
+traces) under a fixed seed.
 
 The unit tests poke the session window directly: combiner merge
 semantics, order preservation without a combiner, and the migration
@@ -42,14 +42,14 @@ class NoCombineSSSP(SSSPProgram):
     update_combiner = None
 
 
-def make_job(edges, *, delta, combine=True, delay_bound=65536,
-             trace=False, rate=1000.0):
+def make_job(edges, *, combine=True, delay_bound=65536, trace=False,
+             rate=1000.0):
     program = (SSSPProgram if combine else NoCombineSSSP)("s")
     app = Application(program, EdgeStreamRouter(), name="sssp")
     job = TornadoJob(app, TornadoConfig(
         n_processors=3, report_interval=0.01, retransmit_timeout=0.1,
         storage_backend="memory", delay_bound=delay_bound,
-        delta_path=delta, trace_enabled=trace))
+        trace_enabled=trace))
     job.feed(edge_stream(edges, UniformRate(rate=rate)))
     return job
 
@@ -95,47 +95,39 @@ kill_specs = st.lists(
 
 # ------------------------------------------------------------ properties
 class TestDeltaLegacyEquivalence:
+    """Converged distances equal Dijkstra's under random programs and
+    random kill/recover schedules."""
+
     @given(edges=weighted_graphs, combine=st.booleans())
     @settings(max_examples=12, deadline=None)
     def test_random_programs_converge_identically(self, edges, combine):
-        results = {}
-        for delta in (False, True):
-            job = make_job(edges, delta=delta, combine=combine)
-            job.run_for(5.0)
-            results[delta] = final_distances(job)
-        assert results[True] == results[False]
-        assert results[True] == reference(edges)
+        job = make_job(edges, combine=combine)
+        job.run_for(5.0)
+        assert final_distances(job) == reference(edges)
 
     @given(specs=kill_specs, combine=st.booleans())
     @settings(max_examples=10, deadline=None)
     def test_chaos_schedules_converge_identically(self, specs, combine):
-        results = {}
-        for delta in (False, True):
-            job = make_job(EDGES_W, delta=delta, combine=combine)
-            for actor, at, downtime in specs:
-                job.failures.kill_at(at, actor, recover_after=downtime)
-            job.run_for(6.0)
-            results[delta] = final_distances(job)
-        assert results[True] == results[False]
-        assert results[True] == reference(EDGES_W)
+        job = make_job(EDGES_W, combine=combine)
+        for actor, at, downtime in specs:
+            job.failures.kill_at(at, actor, recover_after=downtime)
+        job.run_for(6.0)
+        assert final_distances(job) == reference(EDGES_W)
 
 
 class TestDeltaDeterminism:
-    def _digests(self, delta):
-        job = make_job(EDGES_W, delta=delta, trace=True)
+    def _digests(self):
+        job = make_job(EDGES_W, trace=True)
         job.failures.kill_at(0.08, "proc-1", recover_after=0.3)
         job.run_for(4.0)
         return (job.trace.digest(), final_distances(job),
                 job.metrics.snapshot())
 
     def test_each_path_is_deterministic_under_a_fixed_seed(self):
-        for delta in (False, True):
-            first = self._digests(delta)
-            second = self._digests(delta)
-            assert first == second
+        assert self._digests() == self._digests()
 
     def test_delta_merges_and_batches_in_the_replay(self):
-        job = make_job(EDGES_W, delta=True, delay_bound=4)
+        job = make_job(EDGES_W, delay_bound=4)
         job.run_for(4.0)
         snapshot = job.metrics.snapshot()
         assert snapshot["core.scatter_batches"] > 0
@@ -150,7 +142,7 @@ def _processor(job, name="proc-0"):
 
 class TestSessionWindow:
     def test_combiner_merges_same_pair_to_newest_offer(self):
-        job = make_job(EDGES_W, delta=True)
+        job = make_job(EDGES_W)
         proc = _processor(job)
         loop = proc.loops[MAIN_LOOP]
         proc._buffer_scatter(loop, "a", "c", 3, 7.0)
@@ -164,7 +156,7 @@ class TestSessionWindow:
         assert job.metrics.snapshot()["core.scatter_merged"] == 1
 
     def test_no_combiner_keeps_every_update_in_order(self):
-        job = make_job(EDGES_W, delta=True, combine=False)
+        job = make_job(EDGES_W, combine=False)
         proc = _processor(job)
         loop = proc.loops[MAIN_LOOP]
         proc._buffer_scatter(loop, "a", "c", 3, 7.0)
@@ -174,7 +166,7 @@ class TestSessionWindow:
         assert job.metrics.snapshot()["core.scatter_merged"] == 0
 
     def test_flush_batches_per_destination_preserving_order(self):
-        job = make_job(EDGES_W, delta=True, combine=False)
+        job = make_job(EDGES_W, combine=False)
         proc = _processor(job)
         loop = proc.loops[MAIN_LOOP]
         dst = job.partition.owner("c")
@@ -194,7 +186,7 @@ class TestSessionWindow:
         """Satellite oracle: a combined-but-unsent scatter whose consumer
         flips owners mid-window is flushed to the *new* owner — routed at
         flush time, not buffer time — and never dropped."""
-        job = make_job(EDGES_W, delta=True)
+        job = make_job(EDGES_W)
         proc = _processor(job)
         loop = proc.loops[MAIN_LOOP]
         old_owner = job.partition.owner("c")
@@ -216,7 +208,7 @@ class TestSessionWindow:
         assert loop.sent_total == 1                    # post-merge charge
 
     def test_window_always_drains_between_handles(self):
-        job = make_job(EDGES_W, delta=True)
+        job = make_job(EDGES_W)
         job.run_for(2.0)
         for proc in job.processors:
             assert proc._session_window == {}

@@ -109,6 +109,11 @@ class TestBackendDispatch:
         with pytest.raises(ValueError):
             TornadoJob(sssp_app(), config("live", rebalance_enabled=True))
 
+    def test_live_rebalancer_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="rebalancer"):
+            TornadoConfig(backend="live", rebalance_enabled=True)
+        TornadoConfig(backend="sim", rebalance_enabled=True)
+
 
 class TestSyncTreeEquivalence:
     def test_sssp_exact_digest_match(self):

@@ -2,10 +2,21 @@
 
 Runs a shrunk version of the Fig. 8d workload (SSSP branch loop with a
 mid-run processor failure) twice with the same seed and asserts the
-flight-recorder dumps are byte-for-byte identical, then checks that the
+flight-recorder dumps are byte-for-byte identical, pins the seed-7 run's
+trace digest, event count and metrics, then checks that the
 per-iteration protocol-phase counts the bench needs are available.
+
+The pin was recorded from the kernel with its timer wheel, tombstone
+compaction and same-instant coalescing both on and off (they produced
+the same values), so it holds the kernel to the plain heap's timeline.
+It is hash-seed free (CI re-runs this module under another
+``PYTHONHASHSEED``).  Re-pin (only with the diff explained) by running
+
+    PYTHONPATH=src python -m tests.test_obs_determinism
 """
 
+import hashlib
+import json
 from dataclasses import replace
 
 from repro.bench.workloads import SMALL, sssp_bundle
@@ -15,13 +26,20 @@ from repro.obs import phase_counts, render_phase_table
 TINY = replace(SMALL, n_vertices=80, n_edges=320, stream_rate=4000.0)
 
 
-def _fig8d_style_run(seed: int, fast_path: bool = True) -> TornadoJob:
+#: ``(trace digest, sim.events_processed, sha256 of the metrics
+#: snapshot)`` of ``_fig8d_style_run(seed=7)``.
+FIG8D_PIN = (
+    "d492e5bbd9356daeb7fe9968a1be88bad8eca16391680a1d1e7be60c836e0c20",
+    7920,
+    "4ade5a07be59b9af66980ff5f184d24b8f697e40946a26d3e2b7382b5c328d1c")
+
+
+def _fig8d_style_run(seed: int) -> TornadoJob:
     """One shrunk Fig. 8d run: fork a branch from half the stream, kill
     proc-1 mid-branch, run to convergence."""
     bundle = sssp_bundle(TINY, delay_bound=256, main_loop_mode="batch",
                          merge_policy="never", report_interval=0.01,
-                         gather_cost=1e-3, trace_enabled=True, seed=seed,
-                         fast_path=fast_path)
+                         gather_cost=1e-3, trace_enabled=True, seed=seed)
     job = bundle.job
     job.feed(bundle.stream)
     cutoff = len(bundle.stream) // 2
@@ -33,6 +51,12 @@ def _fig8d_style_run(seed: int, fast_path: bool = True) -> TornadoJob:
     return job
 
 
+def _fingerprint(job: TornadoJob) -> tuple[str, int, str]:
+    metrics = json.dumps(job.metrics.snapshot(), sort_keys=True)
+    return (job.trace.digest(), job.sim.events_processed,
+            hashlib.sha256(metrics.encode()).hexdigest())
+
+
 class TestTraceDeterminism:
     def test_same_seed_produces_identical_traces(self):
         first = _fig8d_style_run(seed=7)
@@ -41,16 +65,10 @@ class TestTraceDeterminism:
         assert first.trace.dump() == second.trace.dump()
         assert first.trace.digest() == second.trace.digest()
 
-    def test_fast_and_legacy_kernels_produce_identical_traces(self):
-        """The fast path (timer wheel, compaction, coalescing) must not
-        change a single byte of the flight-recorder trace — it only
-        changes how fast the wall clock gets there."""
-        fast = _fig8d_style_run(seed=7, fast_path=True)
-        legacy = _fig8d_style_run(seed=7, fast_path=False)
-        assert fast.trace.dump() == legacy.trace.dump()
-        assert fast.trace.digest() == legacy.trace.digest()
-        assert fast.sim.events_processed == legacy.sim.events_processed
-        assert fast.metrics.snapshot() == legacy.metrics.snapshot()
+    def test_fig8d_run_matches_pin(self):
+        """The timer wheel, compaction and coalescing must not change a
+        byte of the trace — only how fast the wall clock gets there."""
+        assert _fingerprint(_fig8d_style_run(seed=7)) == FIG8D_PIN
 
     def test_metrics_are_deterministic_too(self):
         first = _fig8d_style_run(seed=3)
@@ -85,3 +103,7 @@ class TestTraceDeterminism:
         bundle.job.run_for(0.2)
         assert len(bundle.job.trace) == 0
         assert bundle.job.trace.recorded == 0
+
+
+if __name__ == "__main__":
+    print(f"FIG8D_PIN = {_fingerprint(_fig8d_style_run(seed=7))!r}")

@@ -1,7 +1,10 @@
-"""Property test: the fast-path kernel (timer wheel merged with the heap,
-plus same-instant message coalescing) fires callbacks in exactly the same
-(time, seq) order as the legacy heap-only kernel, including interleaved
-cancellations."""
+"""Property test: the kernel (timer wheel merged with the heap, tombstone
+compaction, same-instant message coalescing) fires callbacks in exactly
+the (time, seq) order of a plain lazy-cancel heap, including interleaved
+cancellations.  The reference is a small in-test scheduler, so the
+oracle does not depend on any second kernel implementation."""
+
+import heapq
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,10 +20,9 @@ _EVENT_DELAYS = (0.0, 0.01, 0.02, 0.5, 1.25)
 _NET_LATENCY = 0.5
 
 # A program interleaves: scheduling a wheel timer, scheduling a plain
-# heap event, sending a network message (coalescing candidate on the
-# fast path), cancelling one of the handles created so far, and
-# advancing the clock (which fires whatever is due, so later ops happen
-# at a later now).
+# heap event, sending a network message (a coalescing candidate),
+# cancelling one of the handles created so far, and advancing the clock
+# (which fires whatever is due, so later ops happen at a later now).
 _OPS = st.lists(
     st.one_of(
         st.tuples(st.just("timer"), st.integers(0, len(_DELAYS) - 1)),
@@ -36,20 +38,20 @@ _OPS = st.lists(
 
 
 class _Recorder(Actor):
-    """Sink whose arrival order lands in the shared firing log."""
+    """Sink that logs each message the instant the network delivers it
+    (no mailbox, so delivery order itself is what the log shows)."""
 
     def __init__(self, sim, name, fired):
         super().__init__(sim, name)
         self._fired = fired
 
-    def handle(self, message, sender):
+    def deliver(self, message, sender):
         self._fired.append(("recv", self.sim.now, message))
-        return 0.0
 
 
-def _execute(fast_path, ops):
+def _execute(ops):
     """Run one program on a fresh kernel; return the full firing log."""
-    sim = Simulator(seed=3, fast_path=fast_path)
+    sim = Simulator(seed=3)
     network = Network(sim, latency=_NET_LATENCY)
     fired = []
     _Recorder(sim, "src", fired)
@@ -74,15 +76,59 @@ def _execute(fast_path, ops):
         else:  # advance
             sim.run(until=sim.now + value)
     sim.run()
-    # A drained kernel must report zero live units in both modes, even
-    # though legacy-mode tombstones may still occupy heap slots.
+    # A drained kernel reports zero live units.
     assert sim.pending_events == 0
     return fired, sim.events_processed, sim.now
 
 
+def _reference(ops):
+    """The same program on a heap of ``[time, seq, callback, args,
+    cancelled]`` entries with lazy cancel; a send is an event at
+    ``now + latency``."""
+    heap, fired, handles = [], [], []
+    state = {"now": 0.0, "seq": 0, "events": 0}
+
+    def push(time, callback, *args):
+        entry = [time, state["seq"], callback, args, False]
+        state["seq"] += 1
+        heapq.heappush(heap, entry)
+        return entry
+
+    def fire(tag, index):
+        fired.append((tag, state["now"], index))
+
+    def run(until=None):
+        while heap:
+            if heap[0][4]:
+                heapq.heappop(heap)
+                continue
+            if until is not None and heap[0][0] > until:
+                state["now"] = until
+                return
+            time, _seq, callback, args, _ = heapq.heappop(heap)
+            state["now"] = time
+            state["events"] += 1
+            callback(*args)
+
+    for index, (op, value) in enumerate(ops):
+        now = state["now"]
+        if op == "timer":
+            handles.append(push(now + _DELAYS[value], fire, "timer", index))
+        elif op == "event":
+            handles.append(
+                push(now + _EVENT_DELAYS[value], fire, "event", index))
+        elif op == "send":
+            push(now + _NET_LATENCY, fire, "recv", index)
+        elif op == "cancel":
+            if handles:
+                handles[value % len(handles)][4] = True
+        else:  # advance
+            run(until=now + value)
+    run()
+    return fired, state["events"], state["now"]
+
+
 @settings(max_examples=200, deadline=None)
 @given(_OPS)
-def test_fast_and_legacy_kernels_fire_identically(ops):
-    legacy = _execute(False, ops)
-    fast = _execute(True, ops)
-    assert fast == legacy
+def test_kernel_fires_like_reference_heap(ops):
+    assert _execute(ops) == _reference(ops)

@@ -1,7 +1,7 @@
-"""Unit tests for the kernel fast path: timer wheel, tombstone
-compaction, same-instant message coalescing — plus the bugfixes that
-rode along (run_until honouring stop(), transport tag-leak, network
-stats bucketing)."""
+"""Unit tests for the kernel's timer wheel, tombstone compaction and
+same-instant message coalescing — plus the bugfixes that rode along
+(run_until honouring stop(), transport tag-leak, network stats
+bucketing)."""
 
 import pytest
 
@@ -82,7 +82,7 @@ class TestTimerWheel:
 
 class TestTombstoneCompaction:
     def test_compaction_drops_cancelled_majority(self):
-        queue = EventQueue(fast_path=True)
+        queue = EventQueue()
         events = [queue.push(float(i), _noop) for i in range(2 * COMPACT_MIN_SIZE)]
         cancelled = COMPACT_MIN_SIZE + 8
         for event in events[:cancelled]:
@@ -94,25 +94,15 @@ class TestTombstoneCompaction:
         assert queue.tombstones < cancelled // 2
         assert len(queue) == queue.pending + queue.tombstones
 
-    def test_legacy_mode_keeps_tombstones(self):
-        queue = EventQueue(fast_path=False)
-        events = [queue.push(float(i), _noop) for i in range(2 * COMPACT_MIN_SIZE)]
-        for event in events[: COMPACT_MIN_SIZE + 8]:
-            event.cancel()
-        assert queue.tombstones == COMPACT_MIN_SIZE + 8
-        assert len(queue) == len(events)
-        # ... but the live-unit count is accurate in both modes.
-        assert queue.pending == len(events) - (COMPACT_MIN_SIZE + 8)
-
     def test_small_heaps_not_compacted(self):
-        queue = EventQueue(fast_path=True)
+        queue = EventQueue()
         events = [queue.push(float(i), _noop) for i in range(8)]
         for event in events[:6]:
             event.cancel()
         assert queue.tombstones == 6
 
     def test_pop_order_survives_compaction(self):
-        queue = EventQueue(fast_path=True)
+        queue = EventQueue()
         events = [queue.push(float(i), _noop, i) for i in range(200)]
         for event in events[::2]:
             event.cancel()
@@ -125,7 +115,7 @@ class TestTombstoneCompaction:
         assert popped == list(range(1, 200, 2))
 
     def test_double_cancel_counts_once(self):
-        queue = EventQueue(fast_path=True)
+        queue = EventQueue()
         queue.push(1.0, _noop)
         event = queue.push(2.0, _noop)
         event.cancel()
@@ -145,8 +135,8 @@ class _Sink(Actor):
 
 
 class TestCoalescing:
-    def _burst(self, fast_path, fanout=32):
-        sim = Simulator(fast_path=fast_path)
+    def _burst(self, fanout=32):
+        sim = Simulator()
         network = Network(sim, latency=1e-3)
         _Sink(sim, "src")
         sink = _Sink(sim, "sink")
@@ -155,25 +145,21 @@ class TestCoalescing:
         return sim, network, sink
 
     def test_burst_folds_into_one_heap_entry(self):
-        sim, _network, _sink = self._burst(True)
+        sim, _network, _sink = self._burst()
         assert len(sim._queue) == 1
         assert sim.pending_events == 32
 
-    def test_legacy_burst_stays_per_message(self):
-        sim, _network, _sink = self._burst(False)
-        assert len(sim._queue) == 32
-
     def test_delivery_order_and_stats_match_legacy(self):
-        fast_sim, fast_net, fast_sink = self._burst(True)
-        legacy_sim, legacy_net, legacy_sink = self._burst(False)
-        fast_sim.run()
-        legacy_sim.run()
-        assert fast_sink.received == legacy_sink.received == list(range(32))
-        assert fast_net.stats.sent == legacy_net.stats.sent == 32
-        assert fast_sim.events_processed == legacy_sim.events_processed
+        """The values a heap-only kernel produced: 32 deliveries, then
+        the sink's 32 serve events and the one that finds it idle."""
+        sim, network, sink = self._burst()
+        sim.run()
+        assert sink.received == list(range(32))
+        assert network.stats.sent == 32
+        assert sim.events_processed == 65
 
     def test_batch_survives_max_events_interruption(self):
-        sim, _network, sink = self._burst(True, fanout=16)
+        sim, _network, sink = self._burst(fanout=16)
         # A budget of 10 interrupts the run inside the 16-delivery batch
         # (each unit counts as one event); the kernel must suspend the
         # batch and resume it exactly where it left off.
@@ -185,7 +171,7 @@ class TestCoalescing:
         assert sink.received == list(range(16))
 
     def test_timer_at_same_instant_blocks_coalescing(self):
-        sim = Simulator(fast_path=True)
+        sim = Simulator()
         deliveries = []
         sim.schedule_message(1.0, deliveries.append, "a")
         sim.schedule_timer(1.0, deliveries.append, "t")

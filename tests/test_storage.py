@@ -12,8 +12,7 @@ from repro.storage.versioned import REBASE_INTERVAL
 
 
 LAYOUTS = {
-    "legacy": dict(delta_path=False),
-    "delta": dict(delta_path=True),
+    "delta": dict(columnar=False),
     "columnar": dict(columnar=True),
 }
 
@@ -24,16 +23,9 @@ def make_store(layout: str, **overrides) -> VersionedStore:
 
 @pytest.fixture(params=list(LAYOUTS), ids=list(LAYOUTS))
 def store(request):
-    """Every store contract test runs against all three layouts: the
-    flat legacy dict, the delta path's indexed/rebase/cached one, and
-    the numpy-slab columnar engine."""
-    return make_store(request.param)
-
-
-@pytest.fixture(params=["delta", "columnar"])
-def indexed_store(request):
-    """The two indexed layouts (per-loop index + snapshot cache +
-    batched I/O accounting) share these behaviors."""
+    """Every store contract test runs against both layouts: the object
+    chains (indexed, rebased, cached) and the numpy-slab columnar
+    engine."""
     return make_store(request.param)
 
 
@@ -70,6 +62,17 @@ class TestVersionedStore:
     def test_negative_iteration_rejected(self, store):
         with pytest.raises(StorageError):
             store.put("main", "k", -1, "v")
+
+    def test_put_many_with_a_negative_iteration_writes_nothing(self, store):
+        store.put("main", "a", 1, 1.0)
+        assert store.snapshot("main") == {"a": 1.0}
+        with pytest.raises(StorageError):
+            store.put_many("main", [("b", 2, 2.0), ("c", -1, 3.0)])
+        # All-or-nothing: no half-written batch behind a cached snapshot.
+        assert store.snapshot("main") == {"a": 1.0}
+        assert store.get_version("main", "b") is None
+        assert store.version_count("main") == 1
+        assert store.puts == 1
 
     def test_loops_are_isolated(self, store):
         store.put("main", "k", 1, "main-value")
@@ -121,12 +124,10 @@ class TestVersionedStore:
 
 
 class TestIndexedStore:
-    """Behavior shared by the indexed layouts (delta + columnar):
-    batched I/O accounting and the generation-checked snapshot cache."""
+    """Per-loop index, batched I/O accounting and the generation-checked
+    snapshot cache, on both layouts."""
 
-    def test_put_many_get_many_roundtrip_and_accounting(
-            self, indexed_store):
-        store = indexed_store
+    def test_put_many_get_many_roundtrip_and_accounting(self, store):
         written = store.put_many("main", [("a", 1, 10), ("b", 2, 20),
                                           ("a", 4, 40)])
         assert written == 3
@@ -139,15 +140,12 @@ class TestIndexedStore:
         assert store.reads == 3
         assert store.internal_reads == 1
 
-    def test_peek_bills_internal_reads(self, indexed_store):
-        store = indexed_store
+    def test_peek_bills_internal_reads(self, store):
         store.put("main", "k", 1, "v")
         assert store.peek_version("main", "k") == (1, "v")
         assert (store.reads, store.internal_reads) == (0, 1)
 
-    def test_snapshot_reads_split_protocol_vs_internal(self,
-                                                      indexed_store):
-        store = indexed_store
+    def test_snapshot_reads_split_protocol_vs_internal(self, store):
         store.put("main", "a", 1, 10)
         store.put("main", "b", 2, 20)
         store.snapshot("main")
@@ -156,9 +154,7 @@ class TestIndexedStore:
         store.snapshot("main", internal=True)
         assert (store.reads, store.internal_reads) == (2, 3)
 
-    def test_snapshot_cache_hits_until_a_put_invalidates(
-            self, indexed_store):
-        store = indexed_store
+    def test_snapshot_cache_hits_until_a_put_invalidates(self, store):
         store.put("main", "a", 1, 10)
         first = store.snapshot("main", max_iteration=5)
         second = store.snapshot("main", max_iteration=5)
@@ -170,23 +166,20 @@ class TestIndexedStore:
         assert store.snapshot("main", max_iteration=5) == {"a": 10}
         assert store.cache_misses == 2
 
-    def test_put_many_bumps_generation_once(self, indexed_store):
-        store = indexed_store
+    def test_put_many_bumps_generation_once(self, store):
         store.put_many("main", [("a", 1, 10)])
         store.snapshot("main")
         store.put_many("main", [("b", 2, 20), ("c", 3, 30)])
         assert store.snapshot("main") == {"a": 10, "b": 20, "c": 30}
         assert store.cache_misses == 2
 
-    def test_put_if_newer_sees_pending_writes(self, indexed_store):
-        store = indexed_store
+    def test_put_if_newer_sees_pending_writes(self, store):
         store.put("main", "k", 5, "newer")     # still in the pending log
         assert not store.put_if_newer("main", "k", 4, "stale")
         assert store.put_if_newer("main", "k", 6, "newest")
         assert store.get("main", "k") == "newest"
 
-    def test_drop_loop_clears_index_and_cache(self, indexed_store):
-        store = indexed_store
+    def test_drop_loop_clears_index_and_cache(self, store):
         store.put("branch-1", "k", 1, "v")
         store.put("main", "k", 1, "kept")
         store.snapshot("branch-1")
@@ -195,8 +188,7 @@ class TestIndexedStore:
         assert store.snapshot("branch-1") == {}
         assert store.get("main", "k") == "kept"
 
-    def test_truncate_invalidates_the_snapshot_cache(self, indexed_store):
-        store = indexed_store
+    def test_truncate_invalidates_the_snapshot_cache(self, store):
         for iteration in (1, 3, 5):
             store.put("main", "k", iteration, iteration * 10)
         assert store.snapshot("main", max_iteration=2) == {"k": 10}
@@ -205,8 +197,7 @@ class TestIndexedStore:
         assert store.snapshot("main", max_iteration=2) == {}
         assert store.snapshot("main") == {"k": 50}
 
-    def test_version_count_per_loop_and_total(self, indexed_store):
-        store = indexed_store
+    def test_version_count_per_loop_and_total(self, store):
         store.put("main", "a", 1, 10)
         store.put("main", "a", 2, 20)
         store.put("branch-1", "b", 1, 30)
@@ -216,10 +207,10 @@ class TestIndexedStore:
 
 
 class TestDeltaStore:
-    """Delta-path-only behavior: the per-chain pending-log rebase."""
+    """Object-chain-only behavior: the per-chain pending-log rebase."""
 
     def test_pending_log_rebases_on_interval_and_reads(self):
-        store = VersionedStore(delta_path=True)
+        store = VersionedStore()
         for iteration in range(REBASE_INTERVAL):
             store.put("main", "k", iteration, iteration)
         assert store.rebases == 1         # interval-triggered, ascending
@@ -232,15 +223,15 @@ class TestDeltaStore:
         """The TornadoConfig-promoted knob really controls rebase
         cadence: interval 4 folds 16 ascending writes four times where
         the default interval folds once."""
-        eager = VersionedStore(delta_path=True, rebase_interval=4)
+        eager = VersionedStore(rebase_interval=4)
         for iteration in range(16):
             eager.put("main", "k", iteration, iteration)
         assert eager.rebases == 4
-        default = VersionedStore(delta_path=True)
+        default = VersionedStore()
         for iteration in range(16):
             default.put("main", "k", iteration, iteration)
         assert default.rebases == 1
-        lazy = VersionedStore(delta_path=True, rebase_interval=100)
+        lazy = VersionedStore(rebase_interval=100)
         for iteration in range(16):
             lazy.put("main", "k", iteration, iteration)
         assert lazy.rebases == 0          # nothing folded until a read
@@ -248,7 +239,7 @@ class TestDeltaStore:
         assert lazy.rebases == 1
 
     def test_custom_snapshot_cache_size_evicts_lru(self):
-        store = VersionedStore(delta_path=True, snapshot_cache_size=2)
+        store = VersionedStore(snapshot_cache_size=2)
         store.put("main", "k", 1, 10)
         for bound in (1, 2, 3):          # three views, cache holds two
             store.snapshot("main", max_iteration=bound)
@@ -309,7 +300,7 @@ class TestColumnarStore:
                                                       max_iteration=0)
         assert values_at0.tolist() == [5.0, 6.0, 7.0]
         with pytest.raises(StorageError):
-            VersionedStore(delta_path=True).snapshot_columns("main")
+            VersionedStore().snapshot_columns("main")
 
     def test_iteration_overflow_rejected(self):
         store = VersionedStore(columnar=True)
@@ -321,20 +312,17 @@ class TestColumnarStore:
                     min_size=1, max_size=30),
            st.integers(0, 13))
     def test_layouts_agree_on_any_workload(self, puts, bound):
-        stores = [make_store(layout) for layout in LAYOUTS]
+        chains, columnar = make_store("delta"), make_store("columnar")
         for key, iteration, value in puts:
-            for store in stores:
+            for store in (chains, columnar):
                 store.put("main", key, iteration, value)
-        legacy, others = stores[0], stores[1:]
-        for other in others:
-            assert legacy.snapshot("main", max_iteration=bound) \
-                == other.snapshot("main", max_iteration=bound)
-            assert legacy.version_count("main") \
-                == other.version_count("main")
-        for store in stores:
+        assert chains.snapshot("main", max_iteration=bound) \
+            == columnar.snapshot("main", max_iteration=bound)
+        assert chains.version_count("main") \
+            == columnar.version_count("main")
+        for store in (chains, columnar):
             store.truncate_before("main", bound)
-        for other in others:
-            assert legacy.snapshot("main") == other.snapshot("main")
+        assert chains.snapshot("main") == columnar.snapshot("main")
 
     @given(st.lists(
         st.one_of(
@@ -355,40 +343,40 @@ class TestColumnarStore:
             st.tuples(st.just("drop"),
                       st.sampled_from(["main", "branch"])),
         ), min_size=1, max_size=40))
-    def test_columnar_equals_legacy_model(self, ops):
-        """Model-based equivalence (the fast-vs-legacy kernel test's
-        storage twin): any interleaving of writes, conditional writes,
-        point reads, snapshots, GC and loop drops observes identical
-        results on the columnar and legacy layouts."""
-        legacy = make_store("legacy")
+    def test_columnar_equals_object_chains(self, ops):
+        """Model-based equivalence with the object-chain layout as the
+        model: any interleaving of writes, conditional writes, point
+        reads, snapshots, GC and loop drops observes identical results
+        on both layouts."""
+        model = make_store("delta")
         columnar = make_store("columnar")
         for op in ops:
             kind = op[0]
             if kind == "put":
                 _, key, iteration, value = op
-                legacy.put("main", key, iteration, value)
+                model.put("main", key, iteration, value)
                 columnar.put("main", key, iteration, value)
             elif kind == "put_many":
-                legacy.put_many("main", op[1])
+                model.put_many("main", op[1])
                 columnar.put_many("main", op[1])
             elif kind == "put_if_newer":
                 _, key, iteration, value = op
-                assert legacy.put_if_newer("main", key, iteration, value) \
+                assert model.put_if_newer("main", key, iteration, value) \
                     == columnar.put_if_newer("main", key, iteration, value)
             elif kind == "get":
                 _, key, bound = op
-                assert legacy.get_version("main", key, bound) \
+                assert model.get_version("main", key, bound) \
                     == columnar.get_version("main", key, bound)
             elif kind == "snapshot":
-                assert legacy.snapshot("main", max_iteration=op[1]) \
+                assert model.snapshot("main", max_iteration=op[1]) \
                     == columnar.snapshot("main", max_iteration=op[1])
             elif kind == "truncate":
-                assert legacy.truncate_before("main", op[1]) \
+                assert model.truncate_before("main", op[1]) \
                     == columnar.truncate_before("main", op[1])
             elif kind == "drop":
-                assert legacy.drop_loop(op[1]) == columnar.drop_loop(op[1])
-        assert legacy.snapshot("main") == columnar.snapshot("main")
-        assert legacy.version_count() == columnar.version_count()
+                assert model.drop_loop(op[1]) == columnar.drop_loop(op[1])
+        assert model.snapshot("main") == columnar.snapshot("main")
+        assert model.version_count() == columnar.version_count()
 
 
 class TestBackends:

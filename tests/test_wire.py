@@ -18,7 +18,6 @@ to the scalar path on receipt, and drained window buffers are pooled.
 
 import math
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -79,7 +78,7 @@ def make_job(edges, *, wire, program=SSSPProgram, backend="sim",
         backend=backend, n_processors=n_processors,
         report_interval=0.02 if backend == "live" else 0.01,
         retransmit_timeout=0.5 if backend == "live" else 0.1,
-        storage_backend="memory", delta_path=True, columnar_wire=wire,
+        storage_backend="memory", columnar_wire=wire,
         trace_enabled=trace, seed=seed))
     job.feed(edge_stream(edges, UniformRate(rate=rate)))
     return job
@@ -108,10 +107,6 @@ def _sent(proc, kinds):
 
 # ------------------------------------------------------------ config gate
 class TestConfigGate:
-    def test_columnar_wire_requires_delta_path(self):
-        with pytest.raises(ValueError):
-            TornadoConfig(delta_path=False, columnar_wire=True)
-
     def test_gate_defaults_off(self):
         assert TornadoConfig().columnar_wire is False
 
