@@ -12,7 +12,6 @@ from typing import Any
 
 import math
 
-from repro.core.dsl import VectorSpec
 from repro.core.vertex import VertexContext, VertexProgram, replace_update
 from repro.streams.model import ADD_EDGE, REMOVE_EDGE
 
@@ -30,11 +29,6 @@ class PageRankProgram(VertexProgram):
     # Contributions live in per-source slots; a window's newest
     # contribution from a producer supersedes its earlier ones.
     update_combiner = staticmethod(replace_update)
-
-    # Contribution shares are plain floats; "sum" has no columnar gather
-    # kernel, but the wire pack only needs the dtype to type the value
-    # column (retraction zeros are floats too, so they pack).
-    vector_spec = VectorSpec(reduce="sum", extend="copy", dtype="float64")
 
     def __init__(self, damping: float = 0.85,
                  tolerance: float = 1e-3) -> None:

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.core.dsl import VectorSpec
 from repro.core.vertex import VertexContext, VertexProgram, replace_update
 from repro.streams.model import ADD_EDGE, REMOVE_EDGE
 
@@ -40,11 +39,6 @@ class SSSPProgram(VertexProgram):
     # offer in a dispatch window matters (min would swallow retractions:
     # an INF offer after an edge delete must not lose to a stale one).
     update_combiner = staticmethod(replace_update)
-
-    # Offers are plain floats (INF included), so the columnar wire may
-    # pack them into a float64 column; the per-instance source/cap stay
-    # scalar concerns — the wire pack only consults the dtype.
-    vector_spec = VectorSpec(reduce="min", extend="add", dtype="float64")
 
     def __init__(self, source: Any, max_distance: float = INF) -> None:
         """``max_distance`` caps path lengths: offers at or above it count

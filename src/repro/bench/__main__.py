@@ -20,10 +20,6 @@ Usage::
                                           # critical-path bottleneck oracle
                                           # (merges into BENCH_perf.json;
                                           # add --check-baseline in CI)
-    python -m repro.bench wire --quick    # columnar-wire A/B: column runs
-                                          # vs per-row scatter messages
-                                          # (merges into BENCH_perf.json;
-                                          # add --check-baseline in CI)
 """
 
 from __future__ import annotations
@@ -38,7 +34,7 @@ from repro.bench import (MEDIUM, SMALL, run_ablation_activation,
                          run_fig6b, run_fig7a, run_fig7b, run_fig8a,
                          run_fig8b, run_fig9, run_live_bench,
                          run_placement, run_scale, run_skew, run_table1,
-                         run_table2, run_table3, run_tenants, run_wire)
+                         run_table2, run_table3, run_tenants)
 from repro.bench.harness import ExperimentResult
 
 
@@ -75,8 +71,6 @@ def _experiments(scale, trace: bool = False, quick: bool = False,
         "scale": lambda: run_scale(quick=quick,
                                    check_baseline=check_baseline),
         "tenants": lambda: run_tenants(quick=quick),
-        "wire": lambda: run_wire(quick=quick,
-                                 check_baseline=check_baseline),
     }
 
 
@@ -93,7 +87,6 @@ def main(argv: list[str]) -> int:
         experiments.pop("placement")
         experiments.pop("scale")
         experiments.pop("tenants")
-        experiments.pop("wire")
     if wanted:
         unknown = [w for w in wanted
                    if not any(k.startswith(w) for k in experiments)]

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.errors import ConfigError
+
 
 @dataclass(frozen=True)
 class TenantQuota:
@@ -34,15 +36,15 @@ class TenantQuota:
 
     def __post_init__(self) -> None:
         if self.weight < 1:
-            raise ValueError("weight must be >= 1")
+            raise ConfigError("weight must be >= 1")
         if self.max_processors < 1:
-            raise ValueError("max_processors must be >= 1")
+            raise ConfigError("max_processors must be >= 1")
         if self.max_branches < 1:
-            raise ValueError("max_branches must be >= 1")
+            raise ConfigError("max_branches must be >= 1")
         if self.max_pending_inputs < 1:
-            raise ValueError("max_pending_inputs must be >= 1")
+            raise ConfigError("max_pending_inputs must be >= 1")
         if self.max_store_bytes < 1:
-            raise ValueError("max_store_bytes must be >= 1")
+            raise ConfigError("max_store_bytes must be >= 1")
 
 
 @dataclass
@@ -80,23 +82,9 @@ class TornadoConfig:
     #: declare an algebra vector spec gather through numpy kernels.
     #: ``False`` (the default) runs the object-layout store byte for
     #: byte — same seed, byte-identical flight-recorder digests either
-    #: way (the scalar path is the oracle; first of three A/B gates,
-    #: with ``columnar_wire`` and ``placement``).
+    #: way (the scalar path is the oracle; one of two A/B gates, with
+    #: ``placement``).
     columnar: bool = False
-
-    #: Columnar *wire* regime: at session-window flush, same-``(loop,
-    #: destination)`` scatters whose program declares a
-    #: :class:`~repro.core.dsl.VectorSpec` are packed into typed column
-    #: runs (producers, consumers, iterations, values) inside one
-    #: :class:`~repro.core.messages.ColumnBatch` frame instead of a list
-    #: of per-vertex ``VertexUpdate`` objects; the receiver gathers the
-    #: rows through a batched fast path.  Scalar fallback covers
-    #: unconvertible values, mid-window owner flips and non-vector
-    #: programs.  ``False`` (the default) ships per-vertex objects byte
-    #: for byte — same seed, byte-identical flight-recorder digests
-    #: either way, sim and live (second A/B gate, same precedent as
-    #: ``columnar``).
-    columnar_wire: bool = False
 
     # ------------------------------------------------------ iteration model
     #: Delay bound B (paper §4.4).  1 = synchronous; large = asynchronous.
@@ -219,43 +207,55 @@ class TornadoConfig:
 
     def __post_init__(self) -> None:
         if self.backend not in ("sim", "live"):
-            raise ValueError(f"unknown execution backend: {self.backend!r}")
+            raise ConfigError(f"unknown execution backend: {self.backend!r}")
         if self.n_processors < 1:
-            raise ValueError("n_processors must be >= 1")
+            raise ConfigError("n_processors must be >= 1")
         if self.delay_bound < 1:
-            raise ValueError("delay_bound must be >= 1")
+            raise ConfigError("delay_bound must be >= 1")
+        # Timers reschedule themselves after these intervals: zero would
+        # stop virtual time, a negative delay schedules into the past.
+        for name in ("report_interval", "retransmit_timeout"):
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"{name} must be > 0")
+        for name in ("gather_cost", "control_cost", "master_cost",
+                     "net_latency", "net_jitter", "disk_seek_cost",
+                     "disk_record_cost"):
+            if not getattr(self, name) >= 0:
+                raise ConfigError(f"{name} must be >= 0")
+        if self.net_capacity is not None and not self.net_capacity > 0:
+            raise ConfigError("net_capacity must be > 0")
         if self.storage_backend not in ("disk", "memory"):
-            raise ValueError(f"unknown backend: {self.storage_backend!r}")
+            raise ConfigError(f"unknown backend: {self.storage_backend!r}")
         if self.backend == "live" and self.rebalance_enabled:
-            raise ValueError(
+            raise ConfigError(
                 "backend='live' does not support the rebalancer yet")
         if self.store_rebase_interval < 1:
-            raise ValueError("store_rebase_interval must be >= 1")
+            raise ConfigError("store_rebase_interval must be >= 1")
         if self.store_snapshot_cache_size < 1:
-            raise ValueError("store_snapshot_cache_size must be >= 1")
+            raise ConfigError("store_snapshot_cache_size must be >= 1")
         if self.merge_policy not in ("if_quiescent", "always", "never"):
-            raise ValueError(f"unknown merge policy: {self.merge_policy!r}")
+            raise ConfigError(f"unknown merge policy: {self.merge_policy!r}")
         if self.main_loop_mode not in ("approximate", "batch"):
-            raise ValueError(f"unknown mode: {self.main_loop_mode!r}")
+            raise ConfigError(f"unknown mode: {self.main_loop_mode!r}")
         if self.branch_admission not in ("queue", "shed"):
-            raise ValueError(
+            raise ConfigError(
                 f"unknown admission policy: {self.branch_admission!r}")
         if self.max_concurrent_branches < 1:
-            raise ValueError("max_concurrent_branches must be >= 1")
+            raise ConfigError("max_concurrent_branches must be >= 1")
         if self.rebalance_mode not in ("live", "pause"):
-            raise ValueError(
+            raise ConfigError(
                 f"unknown rebalance mode: {self.rebalance_mode!r}")
         if self.placement not in ("round_robin", "resource_aware"):
-            raise ValueError(
+            raise ConfigError(
                 f"unknown placement policy: {self.placement!r}")
         if any(c <= 0 for c in self.placement_node_capacity):
-            raise ValueError("node capacities must be positive")
+            raise ConfigError("node capacities must be positive")
         if self.migration_criticality_weight < 0:
-            raise ValueError(
+            raise ConfigError(
                 "migration_criticality_weight must be >= 0")
         if self.migration_max_batch < 1:
-            raise ValueError("migration_max_batch must be >= 1")
+            raise ConfigError("migration_max_batch must be >= 1")
         if self.migration_report_top_k < 1:
-            raise ValueError("migration_report_top_k must be >= 1")
+            raise ConfigError("migration_report_top_k must be >= 1")
         if self.trace_capacity < 1:
-            raise ValueError("trace_capacity must be >= 1")
+            raise ConfigError("trace_capacity must be >= 1")

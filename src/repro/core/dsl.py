@@ -38,9 +38,8 @@ class VectorSpec:
     reduce:
         Slot reduction: ``"min"``, ``"max"`` or ``"any"`` (kernelised by
         the columnar engine).  Other reductions — e.g. ``"sum"`` — may
-        still be declared: they get no gather kernel, but the columnar
-        *wire* pack (``TornadoConfig.columnar_wire``) only consults the
-        spec's ``dtype`` and works for any reduce.
+        still be declared: they get no gather kernel and the scalar
+        ``combine`` stays.
     extend:
         Edge transform for bulk sweeps: ``"add"`` (value + weight),
         ``"copy"`` (value unchanged) or ``"min"`` (min(value, weight)).
@@ -117,7 +116,6 @@ class AlgebraicProgram(VertexProgram):
     def __init__(self, algebra: Algebra) -> None:
         self.algebra = algebra
         self.update_combiner = algebra.combine_updates
-        self.vector_spec = algebra.vector_spec
         #: The combine actually called by :meth:`gather`; swapped for a
         #: numpy kernel by :meth:`enable_columnar_kernels`.
         self._combine = algebra.combine

@@ -44,41 +44,25 @@ class VertexUpdate:
 
 
 @dataclass(frozen=True, slots=True)
-class SessionBatch:
-    """Several session messages of one loop for one destination
-    processor, riding a single reliable envelope (the session window's
-    sender-side batching).  ``payloads`` holds :class:`VertexUpdate`,
-    :class:`Prepare` and :class:`Acknowledge` messages in their original
-    send order, so per-link protocol ordering (an update may never be
-    overtaken by the next round's PREPARE) is preserved verbatim; the
-    receiver dispatches them as if each had arrived in its own
-    envelope."""
-
-    loop: str
-    payloads: tuple[Any, ...]
-
-
-@dataclass(frozen=True, slots=True)
 class ColumnBatch:
-    """Columnar wire frame (``TornadoConfig.columnar_wire``): one loop's
-    session traffic for one destination processor with the vector-packable
-    updates shipped as typed column runs instead of per-vertex
-    :class:`VertexUpdate` objects.
+    """The session frame: one loop's session traffic for one destination
+    processor, riding a single reliable envelope (the session window's
+    sender-side batching).
 
-    ``segments`` preserves the original send order exactly.  Each segment
-    is either
+    ``segments`` preserves the original send order exactly, so per-link
+    protocol ordering (an update may never be overtaken by the next
+    round's PREPARE) holds verbatim.  Each segment is either
 
     * a plain 4-tuple of parallel columns ``(producers, consumers,
-      iterations, values)`` — one *run* of consecutive packable updates
-      (all columns are plain tuples; the frame stays numpy-free so the
-      wire vocabulary pickles without the columnar dependency), or
-    * a scalar protocol message (:class:`Prepare`, :class:`Acknowledge`,
-      or a fallback :class:`VertexUpdate` whose value did not match the
-      program's declared wire dtype), left at its original position.
+      iterations, values)`` — one *run* of consecutive updates.  Every
+      column is a plain tuple, and ``values`` holds whatever the program
+      scatters, of any type; or
+    * a scalar protocol message (:class:`Prepare` or
+      :class:`Acknowledge`), left at its original position.
 
     Receivers discriminate with ``type(segment) is tuple`` (the scalar
-    messages are dataclasses) and must produce effects byte-identical to
-    dispatching the equivalent :class:`SessionBatch`.
+    messages are dataclasses) and gather each row exactly as if it had
+    arrived as its own :class:`VertexUpdate`.
     """
 
     loop: str
@@ -86,19 +70,16 @@ class ColumnBatch:
 
     def has_prepare(self) -> bool:
         """Does any scalar segment carry a :class:`Prepare`?  (Recovery
-        purges unacked prepares exactly like the SessionBatch path.)"""
-        return any(isinstance(seg, Prepare) for seg in self.segments
-                   if type(seg) is not tuple)
+        purges frames with unacked prepares.)"""
+        return any(isinstance(seg, Prepare) for seg in self.segments)
 
-    def update_producers(self):
-        """Producer ids of every update in the frame — column runs and
-        inline fallback updates alike (fork-time in-flight scans)."""
+    def update_producers(self) -> list:
+        """Producer ids of every update in the frame (fork-time in-flight
+        scans)."""
         producers = []
         for seg in self.segments:
             if type(seg) is tuple:
                 producers.extend(seg[0])
-            elif isinstance(seg, VertexUpdate):
-                producers.append(seg.producer)
         return producers
 
 

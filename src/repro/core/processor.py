@@ -24,8 +24,8 @@ from repro.core.messages import (MAIN_LOOP, Acknowledge, ColumnBatch,
                                  PeerRecovered, Prepare,
                                  ProcessorRecovered, ProgressReport,
                                  RecoverLoops, ReleasedUpdate, Repartition,
-                                 SessionBatch, StopLoop, Unreliable,
-                                 VertexInput, VertexUpdate)
+                                 StopLoop, Unreliable, VertexInput,
+                                 VertexUpdate)
 from repro.core.partition import PartitionScheme
 from repro.core.protocol import (CommitUpdate, SendAck, SendPrepare,
                                  VertexProtocol)
@@ -35,12 +35,6 @@ from repro.core.vertex import (Application, Delta, VertexContext,
 from repro.simulator import Actor, Network, Simulator
 from repro.storage import (CheckpointManifest, StorageBackend,
                            VersionedStore)
-
-#: Wire-packable value types per declared VectorSpec dtype.  Strict
-#: ``type() is`` matching keeps bool out of the int64 column (bool is an
-#: int subclass) and numpy scalars out entirely, so the column runs stay
-#: numpy-free and pickle without the columnar dependency.
-WIRE_PACK_TYPES = {"float64": float, "bool": bool, "int64": int}
 
 
 class LoopState:
@@ -227,28 +221,15 @@ class Processor(Actor):
         self._m_scatter_stale = metrics.counter("core.scatter_stale_skipped")
         self._m_envelopes_saved = metrics.counter(
             "core.scatter_envelopes_saved")
-        # ------------------------------------------------- columnar wire
-        # With ``columnar_wire`` on, updates whose value type matches the
-        # program's declared VectorSpec dtype leave the window flush as
-        # typed column runs inside one ColumnBatch per destination;
-        # control messages and unconvertible values ride along inline in
-        # their original send order.  The receive side gathers column
-        # rows through a batched fast path whose effects — trace events,
-        # counter charges, virtual-time costs — are byte-identical to
-        # dispatching the equivalent SessionBatch (the digest oracle).
-        spec = getattr(app.program, "vector_spec", None)
-        self._wire_type = (WIRE_PACK_TYPES.get(spec.dtype)
-                           if spec is not None else None)
-        self._wire_pack = bool(config.columnar_wire
-                               and self._wire_type is not None)
-        # The row fast path may skip the per-row gather_cost call only
-        # while the program keeps the base-class default (always None).
+        # ------------------------------------------------------- gather
+        # A gather may skip the gather_cost call only while the program
+        # keeps the base-class default (always None).
         self._static_gather_cost = (type(app.program).gather_cost
                                     is VertexProgram.gather_cost)
-        self._m_wire_batches = metrics.counter("core.wire_batches")
-        self._m_wire_rows = metrics.counter("core.wire_packed_rows")
-        self._m_wire_fallback = metrics.counter("core.wire_fallback")
-        self._m_wire_row_gathers = metrics.counter("core.wire_row_gathers")
+        # Scratch context re-pointed at each gathered update: gather never
+        # emits (documented contract), so only its state, loop and
+        # iteration views need refreshing.
+        self._gather_ctx = VertexContext(VertexState(None), MAIN_LOOP, 0)
         # Session-window buffer pool (flush-path allocation churn): the
         # window dict and its per-loop (entries, index) pairs are cleared
         # and reused across flushes instead of reallocated per dispatch.
@@ -319,8 +300,6 @@ class Processor(Actor):
             return self._handle_update(payload)
         if isinstance(payload, ReleasedUpdate):
             return self._handle_released(payload.update)
-        if isinstance(payload, SessionBatch):
-            return self._handle_session_batch(payload)
         if isinstance(payload, ColumnBatch):
             return self._handle_column_batch(payload)
         if isinstance(payload, Prepare):
@@ -367,14 +346,12 @@ class Processor(Actor):
         # land as fresh — and a stale PREPARE arriving after its producer
         # committed leaves a ghost prepare_list entry nothing ever clears.
         # Live rounds re-send theirs below.  A PREPARE may ride a session
-        # batch; dropping the whole batch is safe — the updates in it are
+        # frame; dropping the whole frame is safe — the updates in it are
         # re-derived by the re-scatter below, and ACKs to a rolled-back
         # preparation are void anyway.
         self.transport.purge_unacked(
             msg.processor,
             predicate=lambda p: isinstance(p, Prepare)
-            or (isinstance(p, SessionBatch)
-                and any(isinstance(q, Prepare) for q in p.payloads))
             or (isinstance(p, ColumnBatch) and p.has_prepare()))
         owner = self.partition.owner
         for loop in self.loops.values():
@@ -608,6 +585,17 @@ class Processor(Actor):
 
     def _apply_update(self, loop: LoopState, msg: VertexUpdate) -> float:
         state, protocol = self._ensure_vertex(loop, msg.consumer)
+        return self._gather_update(loop, state, protocol, msg.producer,
+                                   msg.consumer, msg.iteration, msg.data)
+
+    def _gather_update(self, loop: LoopState, state: VertexState,
+                       protocol: VertexProtocol, producer: Any,
+                       consumer: Any, iteration: int, data: Any) -> float:
+        """Gather one producer update into ``consumer``, whichever frame
+        carried it: the stale-update guard, the write barrier, the user
+        gather, the protocol's phase 1, the termination and load
+        counters, the trace event, the virtual-time cost and the
+        follow-up prepare."""
         if self._combiner is not None:
             # Stale-update guard (last-wins algebras only):
             # the delay-buffer release path can apply a parked update
@@ -616,9 +604,9 @@ class Processor(Actor):
             # dead and replaying it would clobber the newer value.  It
             # still counts toward termination (its sender charged the
             # sent counter) but runs no gather and no protocol event.
-            last = protocol.gathered_from.get(msg.producer)
-            if last is not None and msg.iteration < last:
-                loop.counter(msg.iteration)[2] += 1
+            last = protocol.gathered_from.get(producer)
+            if last is not None and iteration < last:
+                loop.counter(iteration)[2] += 1
                 loop.gathered_total += 1
                 self.total_updates_gathered += 1
                 self._m_updates.inc()
@@ -626,18 +614,21 @@ class Processor(Actor):
                 if self._trace.enabled:
                     self._trace.record(self.sim.now, "delta", "stale_skip",
                                        actor=self.name, loop=loop.name,
-                                       iteration=msg.iteration)
+                                       iteration=iteration)
                 return self.config.control_cost
-            protocol.gathered_from[msg.producer] = msg.iteration
+            protocol.gathered_from[producer] = iteration
         if loop.sharers or loop.published:
-            self._unshare(loop, msg.consumer)
-        ctx = VertexContext(state, loop.name, protocol.iteration)
-        changed = self.app.program.gather(ctx, msg.producer, msg.data)
-        protocol.gathered_update(msg.producer, msg.iteration, changed)
+            self._unshare(loop, consumer)
+        ctx = self._gather_ctx
+        ctx._state = state
+        ctx.loop = loop.name
+        ctx.iteration = protocol.iteration
+        changed = self.app.program.gather(ctx, producer, data)
+        protocol.gathered_update(producer, iteration, changed)
         if loop.is_main:
-            loop.recent_gather_counts[msg.consumer] = (
-                loop.recent_gather_counts.get(msg.consumer, 0) + 1)
-        loop.counter(msg.iteration)[2] += 1
+            recent = loop.recent_gather_counts
+            recent[consumer] = recent.get(consumer, 0) + 1
+        loop.counter(iteration)[2] += 1
         loop.gathered_total += 1
         self.total_updates_gathered += 1
         self._m_updates.inc()
@@ -646,11 +637,19 @@ class Processor(Actor):
         if self._trace.enabled:
             self._trace.record(self.sim.now, "protocol", "update",
                                actor=self.name, loop=loop.name,
-                               iteration=msg.iteration)
-        cost = self.app.program.gather_cost(ctx, msg.producer, msg.data)
+                               iteration=iteration)
+        cost = None
+        if not self._static_gather_cost:
+            cost = self.app.program.gather_cost(ctx, producer, data)
         if cost is None:
             cost = self.config.gather_cost
-        return cost + self._try_prepare(loop, msg.consumer)
+        if (protocol.dirty and protocol.update_time is None
+                and not protocol.prepare_list):
+            # Exactly when try_prepare would act (its early return fires
+            # iff not dirty, mid-prepare, or a non-empty prepare_list);
+            # quiet gathers skip the call entirely.
+            cost += self._try_prepare(loop, consumer)
+        return cost
 
     # ------------------------------------------------------- session window
     def _window_for(self, loop_name: str) -> tuple[list, dict]:
@@ -702,10 +701,10 @@ class Processor(Actor):
         owner mid-window — the message follows the vertex, it is never
         dropped), charge the sent-side termination counters post-merge,
         and ship one envelope per destination processor, preserving the
-        original send order within it.  With ``columnar_wire`` on,
-        packable updates are staged as raw row tuples and leave as typed
-        column runs inside a ColumnBatch; drained window buffers return
-        to the pool (clear-don't-recreate) instead of being reallocated.
+        original send order within it.  Updates are staged as raw row
+        tuples and leave as column runs inside a ColumnBatch; drained
+        window buffers return to the pool (clear-don't-recreate) instead
+        of being reallocated.
         """
         if not self._session_window:
             return 0.0
@@ -713,8 +712,6 @@ class Processor(Actor):
         self._session_window = (self._spare_window
                                 if self._spare_window is not None else {})
         self._spare_window = None
-        pack = self._wire_pack
-        wire_type = self._wire_type
         cost = 0.0
         for loop_name, window in buffer.items():
             entries, index = window
@@ -730,16 +727,9 @@ class Processor(Actor):
                         loop.counter(iteration)[1] += 1
                     updates += 1
                     dst = self.partition.owner(consumer)
-                    if pack and type(data) is wire_type:
-                        # Staged as a raw row; becomes a column run (or,
-                        # alone in its envelope, a plain VertexUpdate).
-                        payload: Any = (producer, consumer, iteration,
-                                        data)
-                    else:
-                        if pack:
-                            self._m_wire_fallback.inc()
-                        payload = VertexUpdate(loop_name, producer,
-                                               consumer, iteration, data)
+                    # A raw row: part of a column run or, alone in its
+                    # envelope, a plain VertexUpdate.
+                    payload: Any = (producer, consumer, iteration, data)
                 elif kind == "prepare":
                     _kind, consumer, payload = entry
                     dst = self.partition.owner(consumer)
@@ -772,60 +762,34 @@ class Processor(Actor):
 
     def _send_batch(self, loop_name: str, dst: str,
                     payloads: list[Any]) -> None:
-        """Ship one multi-payload envelope: a SessionBatch, or — when the
-        window staged packable rows for this destination — a ColumnBatch
-        with consecutive rows zipped into parallel column runs (scalar
-        messages keep their original positions between runs)."""
-        if any(type(p) is tuple for p in payloads):
-            segments: list[Any] = []
-            run: list[tuple] = []
-            rows = 0
-            for payload in payloads:
-                if type(payload) is tuple:
-                    run.append(payload)
-                else:
-                    if run:
-                        segments.append(tuple(zip(*run)))
-                        rows += len(run)
-                        run = []
-                    segments.append(payload)
-            if run:
-                segments.append(tuple(zip(*run)))
-                rows += len(run)
-            self.transport.send(
-                dst, ColumnBatch(loop_name, tuple(segments)),
-                tag=loop_name)
-            self._m_wire_batches.inc()
-            self._m_wire_rows.inc(rows)
-        else:
-            self.transport.send(dst, SessionBatch(
-                loop_name, tuple(payloads)), tag=loop_name)
+        """Ship one multi-payload envelope as a ColumnBatch: consecutive
+        update rows zip into parallel column runs, and PREPAREs and ACKs
+        keep their original positions between the runs."""
+        segments: list[Any] = []
+        run: list[tuple] = []
+        for payload in payloads:
+            if type(payload) is tuple:
+                run.append(payload)
+            else:
+                if run:
+                    segments.append(tuple(zip(*run)))
+                    run = []
+                segments.append(payload)
+        if run:
+            segments.append(tuple(zip(*run)))
+        self.transport.send(dst, ColumnBatch(loop_name, tuple(segments)),
+                            tag=loop_name)
         self._m_scatter_batches.inc()
         self._m_scatter_batched.inc(len(payloads))
         self._m_envelopes_saved.inc(len(payloads) - 1)
 
-    def _handle_session_batch(self, msg: SessionBatch) -> float:
-        """Unpack a batched envelope: each ride-along message goes
-        through the exact single-message path (forwarding, migration
-        buffering, delay bound, orphaning all behave per message), in
-        its original send order.  With the columnar kernels active the
-        window's gathers run the vectorized slot reduction — the unpack
-        loop is the receiver-side seam the vector path rides through,
-        counted per window for the A/B gauges."""
-        if self._vector_kernel:
-            self._m_vector_windows.inc()
-        cost = 0.0
-        for payload in msg.payloads:
-            cost += self._dispatch(payload)
-        return cost
-
     def _handle_column_batch(self, msg: ColumnBatch) -> float:
-        """Unpack a columnar envelope.  Scalar segments go through the
-        exact single-message path; column runs go through the row fast
-        path, whose per-row effects (gates, counter charges, trace
-        events, virtual-time costs) are byte-identical to dispatching
-        the equivalent ``VertexUpdate`` objects — the digest oracle
-        holds with the gate on or off."""
+        """Unpack a session frame in its original send order: column runs
+        go through :meth:`_apply_rows`, scalar segments through the exact
+        single-message path.  With the columnar kernels active the
+        frame's gathers run the vectorized slot reduction — the unpack is
+        the receiver-side seam the vector path rides through, counted per
+        frame for the A/B gauges."""
         if self._vector_kernel:
             self._m_vector_windows.inc()
         cost = 0.0
@@ -838,25 +802,21 @@ class Processor(Actor):
 
     def _apply_rows(self, loop_name: str, seg: tuple) -> float:
         """Gather one column run without materialising per-row update
-        objects.  Rows that cannot take the fast path — no such loop
-        here, a mid-window owner flip, a migration fence or handoff in
-        progress, the delay bound, an in-flight delay-buffer release —
-        fall back to a scalar ``VertexUpdate`` dispatch, which replays
-        the exact single-message semantics (forwarding, buffering,
-        parking, orphaning)."""
+        objects.  Rows that cannot gather in place — no such loop here, a
+        mid-window owner flip, a migration fence or handoff in progress,
+        the delay bound, an in-flight delay-buffer release — go through a
+        scalar ``VertexUpdate`` dispatch, which replays the exact
+        single-message semantics (forwarding, buffering, parking,
+        orphaning)."""
         producers, consumers, iterations, values = seg
         loop = self.loops.get(loop_name)
         cost = 0.0
         if loop is None:
             # Stopped loop, or rows racing their fork/recovery notice:
-            # the scalar path orphans them exactly as un-packed.
-            for i in range(len(producers)):
-                cost += self._dispatch(VertexUpdate(
-                    loop_name, producers[i], consumers[i], iterations[i],
-                    values[i]))
+            # the scalar path orphans them one by one.
+            for row in zip(producers, consumers, iterations, values):
+                cost += self._dispatch(VertexUpdate(loop_name, *row))
             return cost
-        config = self.config
-        control = config.control_cost
         # Hoisted row gates — all constant for the duration of one batch:
         # the frontier only moves in _handle_terminated, migrations are
         # only marked by the master between events, and the racing-
@@ -864,111 +824,28 @@ class Processor(Actor):
         # knows of in-flight moves (migrating_count() below).
         mig = loop.is_main and bool(self._inbound
                                     or self.partition.migrating_count())
-        blocked_at = loop.frontier + config.delay_bound - 1
+        blocked_at = loop.frontier + self.config.delay_bound - 1
         released = loop.released_pairs
         owner = self.partition.owner
         me = self.name
         vertices = loop.vertices
         protocols = loop.protocols
-        combiner = self._combiner
-        program = self.app.program
-        gather = program.gather
-        trace = self._trace
-        is_main = loop.is_main
-        # Fork and stop never run inside a batch, so no vertex becomes
-        # shared mid-batch; hoisting the barrier test is safe.
-        barrier = bool(loop.sharers or loop.published)
-        recent = loop.recent_gather_counts
-        counter = loop.counter
-        gather_cost_fn = (None if self._static_gather_cost
-                          else program.gather_cost)
-        default_cost = config.gather_cost
-        ctx: VertexContext | None = None
-        gathered = 0
-        stale_rows = 0
-        fast_rows = 0
-        for i in range(len(producers)):
-            consumer = consumers[i]
-            if mig or owner(consumer) != me:
-                # Owner flipped mid-window / fenced by a migration: the
-                # scalar path forwards or buffers per message.
-                cost += self._dispatch(VertexUpdate(
-                    loop_name, producers[i], consumer, iterations[i],
-                    values[i]))
+        gather_update = self._gather_update
+        for row in zip(producers, consumers, iterations, values):
+            producer, consumer, iteration, value = row
+            if (mig or owner(consumer) != me or iteration >= blocked_at
+                    or (released and released.get((producer, consumer)))):
+                # Forwarded or fenced by a migration, parked by the delay
+                # bound or behind an in-flight release: per message.
+                cost += self._dispatch(VertexUpdate(loop_name, *row))
                 continue
-            producer = producers[i]
-            it = iterations[i]
-            if it >= blocked_at or (released
-                                    and released.get((producer,
-                                                      consumer))):
-                # Parks in the delay buffer (or behind an in-flight
-                # release) exactly like the scalar path.
-                cost += self._dispatch(VertexUpdate(
-                    loop_name, producer, consumer, it, values[i]))
-                continue
-            fast_rows += 1
             state = vertices.get(consumer)
             if state is None:
                 state, protocol = self._ensure_vertex(loop, consumer)
             else:
                 protocol = protocols[consumer]
-            if combiner is not None:
-                last = protocol.gathered_from.get(producer)
-                if last is not None and it < last:
-                    # Stale-update guard, batched tail accounting below.
-                    counter(it)[2] += 1
-                    stale_rows += 1
-                    if trace.enabled:
-                        trace.record(self.sim.now, "delta", "stale_skip",
-                                     actor=me, loop=loop_name,
-                                     iteration=it)
-                    cost += control
-                    continue
-                protocol.gathered_from[producer] = it
-            if barrier:
-                self._unshare(loop, consumer)
-            if ctx is None:
-                ctx = VertexContext(state, loop_name, protocol.iteration)
-            else:
-                # Scratch-context reuse: gather never emits (documented
-                # contract), so only the state and iteration views need
-                # refreshing row to row.
-                ctx._state = state
-                ctx.iteration = protocol.iteration
-            value = values[i]
-            changed = gather(ctx, producer, value)
-            protocol.gathered_update(producer, it, changed)
-            if is_main:
-                recent[consumer] = recent.get(consumer, 0) + 1
-            counter(it)[2] += 1
-            gathered += 1
-            if trace.enabled:
-                trace.record(self.sim.now, "protocol", "update",
-                             actor=me, loop=loop_name, iteration=it)
-            if gather_cost_fn is None:
-                g = default_cost
-            else:
-                g = gather_cost_fn(ctx, producer, value)
-                if g is None:
-                    g = default_cost
-            if (protocol.dirty and protocol.update_time is None
-                    and not protocol.prepare_list):
-                # Exactly when try_prepare would act (its early return
-                # fires iff not dirty, mid-prepare, or a non-empty
-                # prepare_list); quiet rows skip the call entirely.
-                g = g + self._try_prepare(loop, consumer)
-            cost += g
-        total = gathered + stale_rows
-        if total:
-            loop.gathered_total += total
-            self.total_updates_gathered += total
-            self._m_updates.inc(total)
-        if stale_rows:
-            self._m_scatter_stale.inc(stale_rows)
-        if gathered and self._vector_kernel:
-            self._m_vector_gathers.inc(gathered)
-        if fast_rows:
-            self._m_wire_row_gathers.inc(fast_rows)
+            cost += gather_update(loop, state, protocol, producer,
+                                  consumer, iteration, value)
         return cost
 
     # ------------------------------------------------------ prepare / ack
@@ -1236,18 +1113,13 @@ class Processor(Actor):
         batch_mode = self.config.main_loop_mode == "batch"
         # Producers of main-loop updates still in flight: their committed
         # values have not reached every consumer, so the snapshot misses
-        # them — they must re-scatter in the branch.  Batched envelopes
+        # them — they must re-scatter in the branch.  Session frames
         # carry many producers each.
         inflight_producers = set()
         for payload in self.transport.unacked_payloads():
             if isinstance(payload, VertexUpdate) \
                     and payload.loop == MAIN_LOOP:
                 inflight_producers.add(payload.producer)
-            elif isinstance(payload, SessionBatch) \
-                    and payload.loop == MAIN_LOOP:
-                inflight_producers.update(
-                    ride.producer for ride in payload.payloads
-                    if isinstance(ride, VertexUpdate))
             elif isinstance(payload, ColumnBatch) \
                     and payload.loop == MAIN_LOOP:
                 inflight_producers.update(payload.update_producers())

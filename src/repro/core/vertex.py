@@ -122,18 +122,6 @@ class VertexProgram:
     #: :func:`replace_update`; accumulating programs must leave ``None``.
     update_combiner: Callable[[Any, Any], Any] | None = None
 
-    #: Optional :class:`~repro.core.dsl.VectorSpec` describing the
-    #: program's update arithmetic in numpy-free terms.  Declaring one
-    #: opts the program into the columnar regimes: the columnar store's
-    #: gather kernels (``TornadoConfig.columnar``, when the spec's
-    #: ``reduce`` has a kernel) and the columnar wire pack
-    #: (``TornadoConfig.columnar_wire``, which only needs the declared
-    #: ``dtype`` to type the value column — ``reduce`` values without a
-    #: kernel, e.g. ``"sum"``, are fine there).  Scatter values that do
-    #: not match the declared dtype fall back to scalar updates, so the
-    #: declaration is a hint, never a correctness constraint.
-    vector_spec = None
-
     def init(self, ctx: VertexContext) -> None:
         """Initialise a newly created vertex."""
 

@@ -5,6 +5,11 @@ class ReproError(Exception):
     """Base class for all errors raised by this library."""
 
 
+class ConfigError(ReproError, ValueError):
+    """A configuration was rejected at construction (unknown option,
+    out-of-range value, or an unsupported combination)."""
+
+
 class SimulationError(ReproError):
     """The discrete-event simulator was used incorrectly."""
 

@@ -590,14 +590,6 @@ class LiveJob(TornadoJob):
         return sum(entry[index] for report in self.reports.values()
                    for _name, entry in report.loop_totals)
 
-    def wire_rows(self) -> int:
-        """Column rows packed or fast-gathered across all workers under
-        ``columnar_wire`` — the bench's proof the live regime engaged
-        (0 with the gate off)."""
-        if not self.reports:
-            self.finalize()
-        return sum(report.wire_rows for report in self.reports.values())
-
     def worker_stats(self) -> dict[str, dict[str, Any]]:
         """Each worker's loop counters as of the last :meth:`finalize`:
         intake batches, frames in/out, reports by cause, seconds blocked

@@ -9,11 +9,10 @@ families travel on the queues:
   ``core/messages.py`` (usually a transport ``Envelope`` or
   ``TransportAck``) with its source, destination and the sender's Lamport
   stamp; the receiver merges the stamp into its own clock, which yields
-  the virtual ordering the flight recorder stamps events with.  With
-  ``TornadoConfig.columnar_wire`` on, the envelope's payload may be a
-  ``ColumnBatch`` — session updates as typed column runs of plain tuples
-  (the live sibling of ``StoreWrite.slabs``), still numpy-free so the
-  vocabulary pickles without the columnar dependency.
+  the virtual ordering the flight recorder stamps events with.  A
+  session envelope's payload is usually a ``ColumnBatch`` — session
+  updates as column runs of plain tuples (the live sibling of
+  ``StoreWrite.slabs``).
   A wire travels on the direct queue between its two workers, or on a
   worker's master queue when one end lives in the master process (or,
   after a respawn, when the direct queue died with the old incarnation).
@@ -137,10 +136,6 @@ class FinalReport:
     events_processed: int
     retransmissions: int
     trace_evicted: int
-    #: Column rows this worker packed (send) plus fast-gathered
-    #: (receive) under ``columnar_wire`` — the engagement signal the
-    #: wire bench asserts on (0 when the gate is off).
-    wire_rows: int = 0
     # Worker-loop counters (see ``repro.live.worker.LoopStats``), whole
     # life of the incarnation.
     #: Non-empty intake batches, and the frames they held.

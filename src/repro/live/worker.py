@@ -91,9 +91,6 @@ def build_final_report(processor: Processor, kernel: LiveKernel,
     for name, entry in processor.loop_archive.items():
         if name not in totals:
             totals[name] = (entry[0], entry[1], entry[2], entry[3], 0)
-    metrics = kernel.metrics
-    wire_rows = int(metrics.counter("core.wire_packed_rows").value
-                    + metrics.counter("core.wire_row_gathers").value)
     return FinalReport(
         processor=processor.name,
         incarnation=incarnation,
@@ -103,7 +100,6 @@ def build_final_report(processor: Processor, kernel: LiveKernel,
         events_processed=kernel.events_processed,
         retransmissions=processor.transport.retransmissions,
         trace_evicted=kernel.trace.evicted,
-        wire_rows=wire_rows,
         frames_out=processor.network.frames_out,
         channel_sent=tuple(processor.network.sent.items()),
         channel_received=tuple(processor.network.received.items()),

@@ -80,8 +80,7 @@ class TestQuickExperiments:
         assert "scale" in experiments
         assert "tenants" in experiments
         assert "placement" in experiments
-        assert "wire" in experiments
-        assert len(experiments) == 24
+        assert len(experiments) == 23
 
 
 class TestMergeBenchJson:
@@ -114,10 +113,10 @@ class TestMergeBenchJson:
         merge_bench_json(path, {"bench": "someone", "quick": False,
                                 "scale": {"bench": "columnar_store"}})
         payload = merge_bench_json(
-            path, {"wire": {"bench": "columnar_wire", "speedup": 2.0}})
+            path, {"placement": {"bench": "placement", "speedup": 2.0}})
         assert payload["bench"] == "merged"
         assert payload["sections"] == {"scale": "columnar_store",
-                                       "wire": "columnar_wire"}
+                                       "placement": "placement"}
         assert payload["quick"] is False  # other top-level keys survive
 
     def test_output_is_deterministic(self, tmp_path):

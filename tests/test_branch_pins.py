@@ -7,7 +7,8 @@ stop / merge path and pins three things:
   time),
 * ``sim.events_processed``,
 * the sha256 of every query's full result values (the ``repr`` of each
-  value, not just the distances).
+  graph value, not just the distances; the weight and centroid bytes of
+  each SGD and k-means value, whose reprs embed object addresses).
 
 The pins were recorded from the eager fork, which copied every main-loop
 vertex into the branch, and hold for the copy-on-write fork that replaced
@@ -26,13 +27,17 @@ from __future__ import annotations
 
 import hashlib
 
+import numpy as np
 import pytest
 
-from repro.bench.workloads import Scale, pagerank_bundle, sssp_bundle
+from repro.bench.workloads import (Scale, kmeans_bundle, pagerank_bundle,
+                                   sssp_bundle, svm_bundle)
 from repro.core import TornadoJob
 
 SSSP_SCALE = Scale(n_vertices=120, n_edges=360, stream_rate=4000.0)
 PAGERANK_SCALE = Scale(n_vertices=50, n_edges=150, stream_rate=4000.0)
+SVM_SCALE = Scale(n_instances=100, dim=4, stream_rate=4000.0)
+KMEANS_SCALE = Scale(n_points=80, dim=3, k=3, stream_rate=2000.0)
 #: Queries issued while the stream is still arriving, this far apart...
 QUERY_EVERY = 0.02
 #: ...each followed by a second one this much later, while the first
@@ -58,6 +63,21 @@ def _settle(job: TornadoJob) -> None:
     job.run_for(SETTLE_S)
 
 
+def _value_bytes(value) -> bytes:
+    """Fingerprint one result value.  SGD and k-means values hold numpy
+    payloads and their reprs embed object addresses, so those contribute
+    the raw bytes of their weights and centroids instead."""
+    arrays = [getattr(value, name) for name in ("weights", "position")
+              if isinstance(getattr(value, name, None), np.ndarray)]
+    centroids = getattr(value, "centroids", None)
+    if isinstance(centroids, dict):
+        arrays += [np.asarray(centroids[key])
+                   for key in sorted(centroids, key=repr)]
+    if arrays or hasattr(value, "reservoir"):
+        return b"".join(array.tobytes() for array in arrays)
+    return repr(value).encode()
+
+
 def _finish(job: TornadoJob, query_ids: list[int],
             full_activation: bool = False) -> tuple[str, int, str]:
     """Wait for ``query_ids``, run two back-to-back queries on the settled
@@ -72,7 +92,8 @@ def _finish(job: TornadoJob, query_ids: list[int],
         # In the store's order: the order a result lists its vertices in
         # is part of what a query returns.
         for vertex, value in job.result(query_id).values.items():
-            results.update(f"{query_id} {vertex!r} {value!r}\n".encode())
+            results.update(f"{query_id} {vertex!r} ".encode())
+            results.update(_value_bytes(value) + b"\n")
     return job.trace.digest(), job.sim.events_processed, results.hexdigest()
 
 
@@ -109,15 +130,11 @@ def _killed_mid_branch(bundle, full_activation: bool,
     return pins
 
 
-def sssp_always(**overrides) -> tuple[str, int, str]:
+def sssp_always() -> tuple[str, int, str]:
     return _streaming(sssp_bundle(SSSP_SCALE, delete_fraction=0.2,
                                   merge_policy="always",
                                   delay_bound=DELAY_BOUND,
-                                  trace_enabled=True, **overrides))
-
-
-def sssp_always_columnar_wire() -> tuple[str, int, str]:
-    return sssp_always(columnar_wire=True)
+                                  trace_enabled=True))
 
 
 def sssp_if_quiescent() -> tuple[str, int, str]:
@@ -143,6 +160,22 @@ def pagerank_always() -> tuple[str, int, str]:
                                       trace_enabled=True))
 
 
+def svm_always() -> tuple[str, int, str]:
+    """SGD: numpy gradient tuples and weight vectors on the session wire."""
+    return _streaming(svm_bundle(SVM_SCALE, n_samplers=3,
+                                 merge_policy="always",
+                                 delay_bound=DELAY_BOUND,
+                                 trace_enabled=True))
+
+
+def kmeans_always() -> tuple[str, int, str]:
+    """k-means: centroid arrays and ``(partial sum, count)`` pairs."""
+    return _streaming(kmeans_bundle(KMEANS_SCALE, n_shards=3,
+                                    merge_policy="always",
+                                    delay_bound=DELAY_BOUND,
+                                    trace_enabled=True))
+
+
 def sssp_batch_kill() -> tuple[str, int, str]:
     """The fig8d set-up: batch-mode main loop, fully activated branch."""
     return _killed_mid_branch(
@@ -162,15 +195,20 @@ def pagerank_kill() -> tuple[str, int, str]:
 
 CASES = {
     "sssp_always": sssp_always,
-    "sssp_always_columnar_wire": sssp_always_columnar_wire,
     "sssp_if_quiescent": sssp_if_quiescent,
     "sssp_batch_always": sssp_batch_always,
     "pagerank_always": pagerank_always,
     "sssp_batch_kill": sssp_batch_kill,
     "pagerank_kill": pagerank_kill,
+    "svm_always": svm_always,
+    "kmeans_always": kmeans_always,
 }
 
 PINS: dict[str, tuple[str, int, str]] = {
+    "kmeans_always": (
+        "758f3686afe5b2663d4c92802f02e8e4379221aaf111c9e33449817072a7d210",
+        15378,
+        "27d7f31a7dded29069fa5b673e7d279314bc335158b73257cfac7658a7e5d416"),
     "pagerank_always": (
         "e422d452dfa97e4f06624b33dcc3bc1e79ecdf4f73eb9c5b95ddd75c9bfef2d7",
         22846,
@@ -180,12 +218,6 @@ PINS: dict[str, tuple[str, int, str]] = {
         39131,
         "cab3353fb3594a5df5efa60b2a18cc314977dc4dc06069c4e142995decadb887"),
     "sssp_always": (
-        "0daf3b9a780d172aa01cd809b9d3ebfbb7229c2734f590fb28e4a5c14356d454",
-        31007,
-        "a2e0e94e76013e0117e69ea4bad829c489fd84808108279240e6640d797e8e04"),
-    # The columnar wire is digest-identical to scalar updates by design;
-    # this case runs the same traffic through the row fast path.
-    "sssp_always_columnar_wire": (
         "0daf3b9a780d172aa01cd809b9d3ebfbb7229c2734f590fb28e4a5c14356d454",
         31007,
         "a2e0e94e76013e0117e69ea4bad829c489fd84808108279240e6640d797e8e04"),
@@ -201,6 +233,10 @@ PINS: dict[str, tuple[str, int, str]] = {
         "24db6e3701fffc4ea6ff3df0167a099940bd8df9490e14b6afd47f7b383c98cf",
         32914,
         "130a0dfee6467a7df9a8ab75a5c6ee52c0f36baebc1468e2b2e8447074fc4287"),
+    "svm_always": (
+        "9202085b917bd30f82110bf401bcc8c3d4c1766c7fbef2c8eb0c2709e8ce9c74",
+        82700,
+        "5d7146fe80f59cf9e1495c7ab02ff947924c7ef95eeefdd26a563a6e5421d41d"),
 }
 
 

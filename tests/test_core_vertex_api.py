@@ -1,9 +1,12 @@
 """Unit tests for the vertex API, config validation and partition-adjacent
 pieces that need no simulator."""
 
+import math
+
 import pytest
 
-from repro.core import TornadoConfig
+from repro.core import TenantQuota, TornadoConfig
+from repro.errors import ConfigError, ReproError
 from repro.core.messages import MAIN_LOOP, branch_name
 from repro.core.vertex import Delta, VertexContext, VertexState
 
@@ -77,6 +80,42 @@ class TestTornadoConfig:
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             TornadoConfig(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        # A zero interval reschedules its timer at the same instant for
+        # ever: the run never advances virtual time.
+        {"report_interval": 0},
+        {"retransmit_timeout": 0},
+        {"report_interval": math.nan},
+        # Negative delays fail later, deep in the kernel, as "cannot
+        # schedule in the past".
+        {"report_interval": -0.01},
+        {"retransmit_timeout": -0.5},
+        {"net_latency": -1e-4},
+        {"net_jitter": -1e-4},
+        {"gather_cost": -5e-5},
+        {"control_cost": -5e-6},
+        {"master_cost": -1e-5},
+        {"disk_seek_cost": -1e-3},
+        {"disk_record_cost": -2e-6},
+        {"net_capacity": 0},
+    ], ids=lambda kwargs: "{}={}".format(*next(iter(kwargs.items()))))
+    def test_virtual_time_delays_rejected(self, kwargs):
+        with pytest.raises(ConfigError):
+            TornadoConfig(**kwargs)
+
+    def test_config_error_is_typed_and_a_value_error(self):
+        with pytest.raises(ConfigError) as caught:
+            TornadoConfig(n_processors=0)
+        assert isinstance(caught.value, ReproError)
+        assert isinstance(caught.value, ValueError)
+        with pytest.raises(ConfigError):
+            TenantQuota(weight=0)
+
+    def test_zero_costs_accepted(self):
+        config = TornadoConfig(gather_cost=0.0, control_cost=0.0,
+                               net_latency=0.0, disk_seek_cost=0.0)
+        assert config.net_latency == 0.0
 
     def test_branch_name_format(self):
         assert branch_name(7) == "branch-7"

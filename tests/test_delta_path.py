@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from repro.algorithms.graph_common import EdgeStreamRouter
 from repro.algorithms.sssp import SSSPProgram, reference_sssp
 from repro.core import Application, TornadoConfig, TornadoJob
-from repro.core.messages import MAIN_LOOP, SessionBatch, VertexUpdate
+from repro.core.messages import MAIN_LOOP, ColumnBatch, VertexUpdate
 from repro.streams import UniformRate, edge_stream
 
 NODES = list("sabcdefgh")
@@ -175,10 +175,10 @@ class TestSessionWindow:
         proc._buffer_scatter(loop, "b", "d", 3, 2.0)
         proc._flush_window()
         batches = [payload for to, payload in proc.transport._outbox.values()
-                   if to == dst and isinstance(payload, SessionBatch)]
+                   if to == dst and isinstance(payload, ColumnBatch)]
         assert len(batches) == 1
-        assert [(u.producer, u.consumer) for u in batches[0].payloads] \
-            == [("a", "c"), ("b", "d")]
+        (producers, consumers, _iterations, _values), = batches[0].segments
+        assert list(zip(producers, consumers)) == [("a", "c"), ("b", "d")]
         assert loop.sent_total == 2
         assert loop.counter(3)[1] == 2
 
@@ -198,7 +198,7 @@ class TestSessionWindow:
         proc._flush_window()
         sent = [(to, payload) for to, payload
                 in proc.transport._outbox.values()
-                if isinstance(payload, (VertexUpdate, SessionBatch))]
+                if isinstance(payload, (VertexUpdate, ColumnBatch))]
         assert len(sent) == 1
         to, payload = sent[0]
         assert to == new_owner

@@ -58,9 +58,10 @@ RULES = [
 
 #: Wire-path modules that must never import numpy at all — not even
 #: lazily.  The ColumnBatch vocabulary and its pack/unpack stages stage
-#: plain tuples precisely so every live-wire envelope pickles without
-#: the columnar dependency; a lazy import here is how an ndarray column
-#: would sneak into a pickled frame unnoticed.
+#: plain tuples precisely so the runtime's own framing never needs the
+#: columnar dependency (the values inside a column are whatever the
+#: program scatters); a lazy import here is how an ndarray column would
+#: sneak into a pickled frame unnoticed.
 NUMPY_FREE_FILES = ("core/messages.py", "core/processor.py",
                     "live/wire.py")
 NUMPY_IMPORT = re.compile(r"^\s*(import\s+numpy\b|from\s+numpy\b)",

@@ -31,8 +31,8 @@ from repro.core.messages import (Acknowledge, BranchDone, ColumnBatch,
                                  ProcessorRecovered, ProgressReport,
                                  QueryRejected, QueryRequest, RecoverLoops,
                                  ReleasedUpdate, Repartition, ResumeIngest,
-                                 SessionBatch, StopLoop, TransportAck,
-                                 Unreliable, VertexInput, VertexUpdate)
+                                 StopLoop, TransportAck, Unreliable,
+                                 VertexInput, VertexUpdate)
 from repro.live import wire as wire_mod
 from repro.live.wire import (ChannelEvidence, Collect, FetchStore,
                              FinalReport, PeerDown, Shutdown, StoreLoad,
@@ -48,14 +48,13 @@ ACK = Acknowledge("main", "v", "u", 4)
 VOCABULARY = [
     VertexInput("main", "u", ADD_EDGE, ("u", "v", 1.5), weight=1),
     UPDATE,
-    SessionBatch("main", (UPDATE, PREPARE, ACK)),
-    # Columnar wire frame: a column run (4 parallel tuples), a scalar
-    # control message at its original position, then a second run and a
-    # fallback per-vertex update — the full segment grammar.
+    # Session frame: a column run (4 parallel tuples), a scalar control
+    # message at its original position, then a second run whose values
+    # are program objects — the full segment grammar.
     ColumnBatch("main", ((("u", "w"), ("v", "x"), (4, 4), (2.5, 3.5)),
                          PREPARE,
-                         (("u",), ("y",), (5,), (1.0,)),
-                         UPDATE)),
+                         (("u",), ("y",), (5,), (UPDATE.data,)),
+                         ACK)),
     ReleasedUpdate(UPDATE),
     PREPARE,
     ACK,
@@ -79,7 +78,8 @@ VOCABULARY = [
     ProcessorRecovered("proc-1"),
     PeerRecovered("proc-1"),
     RecoverLoops((("main", 5), ("branch-1", 2))),
-    Envelope(41, SessionBatch("main", (UPDATE,))),
+    Envelope(41, ColumnBatch("main", ((("u",), ("v",), (4,),
+                                       (UPDATE.data,)),))),
     TransportAck(41),
     Unreliable(ProgressReport("main", "proc-0", 1, {}, float("inf"))),
 ]
@@ -173,8 +173,9 @@ class TestPickleRoundTrip:
         assert roundtrip(payload) == payload
 
     def test_nested_envelope_batch_deep_equality(self):
-        batch = Envelope(12, SessionBatch("main", (UPDATE, PREPARE, ACK)))
+        batch = Envelope(12, ColumnBatch("main", (
+            (("u",), ("v",), (4,), (UPDATE.data,)), PREPARE, ACK)))
         restored = roundtrip(batch)
-        assert restored.payload.payloads[0].data == UPDATE.data
-        assert restored.payload.payloads[1].update_time == \
+        assert restored.payload.segments[0][3][0] == UPDATE.data
+        assert restored.payload.segments[1].update_time == \
             PREPARE.update_time

@@ -31,7 +31,7 @@ TINY = replace(SMALL, n_vertices=80, n_edges=320, stream_rate=4000.0)
 FIG8D_PIN = (
     "d492e5bbd9356daeb7fe9968a1be88bad8eca16391680a1d1e7be60c836e0c20",
     7920,
-    "4ade5a07be59b9af66980ff5f184d24b8f697e40946a26d3e2b7382b5c328d1c")
+    "5e8f942910c5ccdbff4fd3c41ca22894f1c7d5df85e1fc631bb21130bafe9fe5")
 
 
 def _fig8d_style_run(seed: int) -> TornadoJob:
