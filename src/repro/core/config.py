@@ -198,13 +198,6 @@ class TornadoConfig:
     #: digest oracles keep running against the link-free vocabulary.
     trace_links: bool = False
 
-    #: Extra safety margin for approximate-mode forks: also activate
-    #: vertices that committed within this window of virtual seconds
-    #: before the fork.  In-flight scatters are tracked exactly through
-    #: the reliable transport, so 0 is correct; a positive window adds
-    #: belt-and-braces re-activation.
-    fork_activation_window: float = 0.0
-
     def __post_init__(self) -> None:
         if self.backend not in ("sim", "live"):
             raise ConfigError(f"unknown execution backend: {self.backend!r}")

@@ -48,10 +48,12 @@ class ScheduledQuery:
 class QueryResult:
     """Outcome of one branch-loop query.
 
-    ``values`` are the store's own objects, not copies: a vertex the
-    branch never touched reports the version published for the main
-    loop's state, which later results (and the store) share until the
-    main loop writes that vertex.  Treat them as read-only."""
+    ``values`` are the store's own objects, not copies.  A vertex the
+    branch never touched reports the version published from the main
+    loop's live state into the stopped branch's store segment; later
+    results' segments (and the main loop's published-version cache)
+    hold that same object until the main loop writes the vertex.  Treat
+    them as read-only."""
 
     query_id: int
     loop: str

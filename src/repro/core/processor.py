@@ -99,9 +99,11 @@ class LoopState:
         # Main loop: branches whose ``base`` points into this loop — the
         # targets of the write barrier.
         self.sharers: list[LoopState] = []
-        # Main loop: vertex -> the immutable version a stopped branch
-        # published for it, reused until the main loop writes the vertex.
-        self.published: dict[Any, tuple[Any, frozenset]] = {}
+        # Main loop: vertex -> the immutable ``(iteration, version)``
+        # entry a stopped branch published for it, reused by reference
+        # in every later branch's segment until the main loop writes the
+        # vertex.
+        self.published: dict[Any, tuple[int, tuple[Any, frozenset]]] = {}
 
     def counter(self, iteration: int) -> list[int]:
         entry = self.counters.get(iteration)
@@ -1041,9 +1043,11 @@ class Processor(Actor):
     def _handle_stop(self, msg: StopLoop) -> float:
         """Tear a finished branch loop down, first writing its final state
         so query results are complete even for vertices the branch never
-        needed to update.  A vertex still shared with the main loop
-        publishes the main state's version, made once and reused by every
-        later branch until the main loop writes the vertex."""
+        needed to update: one store segment of every vertex missing from
+        the branch namespace, in fork order.  A vertex still shared with
+        the main loop publishes the main state's entry, made once and
+        reused by reference by every later branch until the main loop
+        writes the vertex."""
         stopped = self.loops.pop(msg.loop, None)
         self._orphans.pop(msg.loop, None)
         if stopped is None:
@@ -1054,33 +1058,33 @@ class Processor(Actor):
         source = stopped.source
         if source is not None and stopped in source.sharers:
             source.sharers.remove(stopped)
-        # Presence probes ride one housekeeping snapshot of the stopped
-        # loop — every processor tears the same loop down at the same
-        # instant, so after the first walk the rest are LRU-cache hits —
-        # and the final values go out as one batched write.
-        existing = self.store.snapshot(msg.loop, internal=True)
+        # A private vertex the branch committed already has its version;
+        # a shared one never does (``put_segment`` drops any key the
+        # namespace has all the same).
+        contains = self.store.contains
         snapshot_value = self.app.program.snapshot_value
         vertices = stopped.vertices
-        items = []
+        base = stopped.base
+        published = source.published if source is not None else {}
+        segment = {}
         for vertex_id in (stopped.rank if stopped.rank is not None
                           else vertices):
-            if vertex_id in existing:
-                continue
             state = vertices.get(vertex_id)
-            if state is not None:
-                version = (snapshot_value(state.value),
-                           frozenset(state.targets))
-            else:
-                state = stopped.base[vertex_id]
-                version = source.published.get(vertex_id)
-                if version is None:
-                    version = source.published[vertex_id] = (
-                        snapshot_value(state.value),
-                        frozenset(state.targets))
-            items.append((vertex_id, max(0, state.last_commit_iteration),
-                          version))
-        materialised = self.store.put_many(msg.loop, items)
-        return self.config.control_cost + 2e-6 * materialised
+            if state is None:
+                entry = published.get(vertex_id)
+                if entry is None:
+                    state = base[vertex_id]
+                    entry = published[vertex_id] = (
+                        max(0, state.last_commit_iteration),
+                        (snapshot_value(state.value),
+                         frozenset(state.targets)))
+                segment[vertex_id] = entry
+            elif not contains(msg.loop, vertex_id):
+                segment[vertex_id] = (
+                    max(0, state.last_commit_iteration),
+                    (snapshot_value(state.value), frozenset(state.targets)))
+        written = self.store.put_segment(msg.loop, segment)
+        return self.config.control_cost + 2e-6 * written
 
     # ------------------------------------------------------ fork / merge
     def _handle_fork(self, msg: ForkBranch) -> float:
@@ -1109,7 +1113,7 @@ class Processor(Actor):
         self.loops[msg.loop] = branch
         changed = main.changed_since_fork
         main.changed_since_fork = set()
-        window_start = self.sim.now - self.config.fork_activation_window
+        now = self.sim.now
         batch_mode = self.config.main_loop_mode == "batch"
         # Producers of main-loop updates still in flight: their committed
         # values have not reached every consumer, so the snapshot misses
@@ -1159,7 +1163,7 @@ class Processor(Actor):
                     (main_protocol is not None
                      and main_protocol.has_pending_work())
                     or vertex_id in inflight_producers
-                    or state.last_commit_time >= window_start
+                    or state.last_commit_time >= now
                     or vertex_id in main.buffered_inputs)
             if msg.full_activation or activate_on_fork(ctx, recently):
                 self._materialise(branch, vertex_id, state)[1].dirty = True

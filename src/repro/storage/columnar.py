@@ -324,7 +324,7 @@ class ColumnarStore:
         self._loops: dict[str, _ColumnarLoop] = {}
 
     # ----------------------------------------------------------- helpers
-    def _obtain(self, loop: str) -> _ColumnarLoop:
+    def obtain(self, loop: str) -> _ColumnarLoop:
         state = self._loops.get(loop)
         if state is None:
             state = self._loops[loop] = _ColumnarLoop()
@@ -343,13 +343,13 @@ class ColumnarStore:
 
     # ------------------------------------------------------------ writes
     def put(self, loop: str, key: Any, iteration: int, value: Any) -> None:
-        state = self._obtain(loop)
+        state = self.obtain(loop)
         state.put(iteration, key, value)
         self._maybe_rebase(state)
 
     def put_columns(self, loop: str, keys: Any, iterations: Any,
                     values: Any) -> int:
-        state = self._obtain(loop)
+        state = self.obtain(loop)
         count = state.put_columns(keys, iterations, values)
         self._maybe_rebase(state)
         return count
@@ -387,13 +387,14 @@ class ColumnarStore:
                 found[key] = version
         return walked, found
 
-    def keys(self, loop: str) -> list[Any]:
-        state = self._loops.get(loop)
-        return [] if state is None else list(state.key_of)
-
     def key_count(self, loop: str) -> int:
         state = self._loops.get(loop)
         return 0 if state is None else len(state.key_of)
+
+    def key_index(self, loop: str) -> dict[Any, int]:
+        """The loop's key -> slot dict (read-only for callers)."""
+        state = self._loops.get(loop)
+        return {} if state is None else state.slot_of
 
     def snapshot_view(self, loop: str, bound: int | None) -> dict[Any, Any]:
         """Whole-loop view in key-creation (= first-put) order — the
@@ -450,15 +451,17 @@ class ColumnarStore:
             total += state.version_count()
         return total
 
-    def export_versions(self) -> list[tuple[str, Any, int, Any]]:
-        out: list[tuple[str, Any, int, Any]] = []
-        for loop, state in self._loops.items():
-            self._settle(state)
-            key_of = state.key_of
-            slots = (state.comp >> np.int64(32)).tolist()
-            iters = (state.comp & np.int64(MAX_ITERATION)).tolist()
-            out.extend(
-                (loop, key_of[slot], iteration, value)
+    def loops(self) -> list[str]:
+        """Loop names in creation order."""
+        return list(self._loops)
+
+    def export_loop(self, loop: str) -> list[tuple[str, Any, int, Any]]:
+        """Every ``(loop, key, iteration, value)`` version of one loop."""
+        state = self._loops[loop]
+        self._settle(state)
+        key_of = state.key_of
+        slots = (state.comp >> np.int64(32)).tolist()
+        iters = (state.comp & np.int64(MAX_ITERATION)).tolist()
+        return [(loop, key_of[slot], iteration, value)
                 for slot, iteration, value
-                in zip(slots, iters, state.values))
-        return out
+                in zip(slots, iters, state.values)]

@@ -30,6 +30,18 @@ Two layouts, A/B-gated by ``columnar``:
 The snapshot LRU cache and per-loop generation counters are shared by
 both layouts.
 
+Three write forms: single ``put`` calls, batched ``put_many`` /
+``put_columns``, and ``put_segment`` for write-once namespaces — a
+stopped branch loop's final state.  A segment is one caller-built dict
+``key -> (iteration, value)`` kept *by reference* above the layout: no
+per-key chain or slab row, so the values it shares with other segments
+and with the main loop's published-version cache stay shared.  Every
+read path sees segment entries exactly as if they had been
+``put_many``'d in dict order — keys in the layout first, then segments
+in write order — and a later ordinary write to the loop folds its
+segments into the layout first, so that equivalence holds whatever
+follows.
+
 Cost-model accounting is split: :attr:`reads` counts *protocol* reads
 (vertex seeding, fork snapshots, query results); runtime housekeeping
 walks (GC, merge write-back, crash recovery, migration re-release) go
@@ -43,6 +55,7 @@ from __future__ import annotations
 import bisect
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Iterable
 
 from repro.errors import StorageError
@@ -163,6 +176,10 @@ class VersionedStore:
                                       tuple[int, dict[Any, Any]]] \
             = OrderedDict()
         self._generation: dict[str, int] = {}
+        # Write-once segments per loop, in write order (see module doc):
+        # key -> (iteration, value), no key in two of them or in the
+        # layout.  Shared by both layouts.
+        self._segments: dict[str, list[dict[Any, tuple[int, Any]]]] = {}
         # Columnar layout: numpy slab backend, imported lazily so the
         # object layouts stay importable without numpy installed.
         if columnar:
@@ -196,8 +213,39 @@ class VersionedStore:
     def _bump(self, loop: str) -> None:
         self._generation[loop] = self._generation.get(loop, 0) + 1
 
+    def _key_index(self, loop: str) -> dict[Any, Any]:
+        """The layout's keys of a loop, as a dict (segments excluded)."""
+        if self.columnar:
+            return self._col.key_index(loop)
+        return self._loops.get(loop, {})
+
+    def _segmented(self, loop: str | None = None) -> int:
+        """Entries in a loop's segments (in every loop's for None)."""
+        lists = (self._segments.values() if loop is None
+                 else [self._segments.get(loop, ())])
+        return sum(len(segment) for segments in lists
+                   for segment in segments)
+
+    def _thaw(self, loop: str) -> None:
+        """Fold a loop's segments into the layout before an ordinary
+        write, in the order ``put_many`` would have written them, so
+        the keys and versions a later write joins read as if no segment
+        had ever been taken.  Counted as puts when the segment was."""
+        write = self._col.put if self.columnar else self._append
+        for segment in self._segments.pop(loop):
+            for key, (iteration, value) in segment.items():
+                write(loop, key, iteration, value)
+
     def _latest(self, loop: str, key: Any,
                 max_iteration: int | None) -> tuple[int, Any] | None:
+        segments = self._segments.get(loop)
+        if segments is not None:
+            for segment in segments:
+                found = segment.get(key)
+                if found is not None:
+                    if max_iteration is None or found[0] <= max_iteration:
+                        return found
+                    return None
         if self.columnar:
             return self._col.latest(loop, key, max_iteration)
         chain = self._find(loop, key)
@@ -211,6 +259,8 @@ class VersionedStore:
         """Record ``value`` as the version of ``key`` at ``iteration``."""
         if iteration < 0:
             raise StorageError(f"negative iteration: {iteration}")
+        if loop in self._segments:
+            self._thaw(loop)
         self.puts += 1
         if self.columnar:
             self._col.put(loop, key, iteration, value)
@@ -228,6 +278,8 @@ class VersionedStore:
         for _key, iteration, _value in items:
             if iteration < 0:
                 raise StorageError(f"negative iteration: {iteration}")
+        if items and loop in self._segments:
+            self._thaw(loop)
         write = self._col.put if self.columnar else self._append
         for key, iteration, value in items:
             write(loop, key, iteration, value)
@@ -244,6 +296,8 @@ class VersionedStore:
         pending log; the object layouts fall back to element-wise puts,
         so callers (bulk engine, live journal) need not branch."""
         if self.columnar:
+            if loop in self._segments:
+                self._thaw(loop)
             count = self._col.put_columns(loop, keys, iterations, values)
             self.puts += count
             if count:
@@ -263,6 +317,37 @@ class VersionedStore:
             triples = zip(keys, iterations, values, strict=True)
         return self.put_many(loop, triples)
 
+    def put_segment(self, loop: str,
+                    segment: dict[Any, tuple[int, Any]]) -> int:
+        """Write-once block: ``segment`` maps key -> ``(iteration,
+        value)``, one version per key, for a namespace that takes no
+        ordinary writes afterwards (a stopped branch loop).  The store
+        keeps the dict itself, so the caller hands it over and never
+        touches it again.  Keys the loop already has are dropped from it
+        first: the earlier write wins.  Returns the number of versions
+        written (see the module doc for how reads see them)."""
+        if segment and min(map(itemgetter(0), segment.values())) < 0:
+            raise StorageError("negative iteration in segment")
+        segments = self._segments.get(loop, [])
+        for earlier in (self._key_index(loop), *segments):
+            if earlier:
+                for key in segment.keys() & earlier.keys():
+                    del segment[key]
+        if not segment:
+            return 0
+        if not segments:
+            # The loop's place among the layout's loops (export order)
+            # is where put_many would have put it.
+            if self.columnar:
+                self._col.obtain(loop)
+            else:
+                self._loops.setdefault(loop, {})
+            self._segments[loop] = segments
+        segments.append(segment)
+        self.puts += len(segment)
+        self._bump(loop)
+        return len(segment)
+
     def put_if_newer(self, loop: str, key: Any, iteration: int,
                      value: Any) -> bool:
         """Write only when no version at ≥ ``iteration`` exists yet — the
@@ -271,6 +356,8 @@ class VersionedStore:
         roll a newer committed version back).  Returns whether it wrote."""
         if iteration < 0:
             raise StorageError(f"negative iteration: {iteration}")
+        if loop in self._segments:
+            self._thaw(loop)
         if self.columnar:
             newest = self._col.max_iteration(loop, key)
         else:
@@ -312,7 +399,7 @@ class VersionedStore:
         """Batched point reads: key -> (iteration, value) for every key
         with a version ≤ the bound.  ``internal`` routes the charge to
         :attr:`internal_reads` (housekeeping walks)."""
-        if self.columnar:
+        if self.columnar and loop not in self._segments:
             walked, found = self._col.latest_many(loop, keys, max_iteration)
         else:
             found = {}
@@ -331,9 +418,20 @@ class VersionedStore:
     def keys(self, loop: str) -> list[Any]:
         """Keys of a loop, as a snapshot list (callers may mutate the store
         while walking it)."""
-        if self.columnar:
-            return self._col.keys(loop)
-        return list(self._loops.get(loop, ()))
+        keys = list(self._key_index(loop))
+        for segment in self._segments.get(loop, ()):
+            keys.extend(segment)
+        return keys
+
+    def contains(self, loop: str, key: Any) -> bool:
+        """Whether ``key`` has a version in ``loop`` — one dict probe per
+        layout index and segment, no chain settle."""
+        if key in self._key_index(loop):
+            return True
+        for segment in self._segments.get(loop, ()):
+            if key in segment:
+                return True
+        return False
 
     def snapshot(self, loop: str, max_iteration: int | None = None,
                  internal: bool = False) -> dict[Any, Any]:
@@ -342,10 +440,7 @@ class VersionedStore:
         reads of an unchanged loop are served from the LRU cache.
         ``internal`` walks (e.g. in-memory result merging) are billed to
         :attr:`internal_reads`."""
-        if self.columnar:
-            walked = self._col.key_count(loop)
-        else:
-            walked = len(self._loops.get(loop, {}))
+        walked = len(self._key_index(loop)) + self._segmented(loop)
         cache_key = (loop, max_iteration)
         generation = self._generation.get(loop, 0)
         entry = self._snap_cache.get(cache_key)
@@ -364,6 +459,14 @@ class VersionedStore:
                     found = chain.latest(max_iteration)
                     if found is not None:
                         view[key] = found[1]
+            for segment in self._segments.get(loop, ()):
+                if max_iteration is None:
+                    view.update(zip(segment,
+                                    map(itemgetter(1), segment.values())))
+                else:
+                    view.update((key, value) for key, (iteration, value)
+                                in segment.items()
+                                if iteration <= max_iteration)
             self._snap_cache[cache_key] = (generation, dict(view))
             self._snap_cache.move_to_end(cache_key)
             while len(self._snap_cache) > self.snapshot_cache_size:
@@ -378,9 +481,12 @@ class VersionedStore:
                          internal: bool = False):
         """Array-native snapshot (columnar layout only): parallel
         ``(keys, values)`` numpy columns in key-creation order, without
-        building a Python dict.  The bulk engine's read path."""
+        building a Python dict.  The bulk engine's read path.  Slabs
+        hold no segment, so a loop's segments fold in first."""
         if not self.columnar:
             raise StorageError("snapshot_columns requires columnar=True")
+        if loop in self._segments:
+            self._thaw(loop)
         walked = self._col.key_count(loop)
         if internal:
             self.internal_reads += walked
@@ -396,6 +502,8 @@ class VersionedStore:
         else:
             chains = self._loops.pop(loop, None)
             count = len(chains) if chains is not None else 0
+        for segment in self._segments.pop(loop, ()):
+            count += len(segment)
         self._generation.pop(loop, None)
         for cache_key in [k for k in self._snap_cache if k[0] == loop]:
             del self._snap_cache[cache_key]
@@ -419,17 +527,19 @@ class VersionedStore:
         the hydration feed for live-backend worker recovery (the worker's
         local store died with its process; the master's authoritative
         copy re-seeds it).  A housekeeping walk: counts as internal."""
-        if self.columnar:
-            out = self._col.export_versions()
-            self.internal_reads += len(out)
-            return out
         out: list[tuple[str, Any, int, Any]] = []
-        for loop, chains in self._loops.items():
-            for key, chain in chains.items():
-                self._settle(chain)
+        for loop in (self._col.loops() if self.columnar else self._loops):
+            if self.columnar:
+                out.extend(self._col.export_loop(loop))
+            else:
+                for key, chain in self._loops[loop].items():
+                    self._settle(chain)
+                    out.extend((loop, key, iteration, value)
+                               for iteration, value
+                               in zip(chain.iterations, chain.values))
+            for segment in self._segments.get(loop, ()):
                 out.extend((loop, key, iteration, value)
-                           for iteration, value
-                           in zip(chain.iterations, chain.values))
+                           for key, (iteration, value) in segment.items())
         self.internal_reads += len(out)
         return out
 
@@ -443,22 +553,25 @@ class VersionedStore:
         actual slab ``nbytes``.  Values are held by reference everywhere,
         so this intentionally ignores value payload sizes — the estimate
         is stable across layouts and runs, which is what a quota check
-        needs more than physical precision.
+        needs more than physical precision.  Segment entries are dict
+        entries on either layout and count the flat 96 bytes each.
         """
+        segmented = 96 * self._segmented()
         if self.columnar:
-            return self._col.nbytes()
-        return 96 * sum(len(chain.iterations) + len(chain.pending)
-                        for chains in self._loops.values()
-                        for chain in chains.values())
+            return self._col.nbytes() + segmented
+        return segmented + 96 * sum(len(chain.iterations)
+                                    + len(chain.pending)
+                                    for chains in self._loops.values()
+                                    for chain in chains.values())
 
     def version_count(self, loop: str | None = None) -> int:
+        total = self._segmented(loop)
         if self.columnar:
-            return self._col.version_count(loop)
+            return total + self._col.version_count(loop)
         if loop is None:
             loops = list(self._loops.values())
         else:
             loops = [self._loops.get(loop, {})]
-        total = 0
         for chains in loops:
             for chain in chains.values():
                 self._settle(chain)

@@ -5,9 +5,11 @@ never moves with the main loop."""
 
 from __future__ import annotations
 
+import math
+
 from repro.algorithms.graph_common import EdgeStreamRouter
 from repro.algorithms.sssp import SSSPProgram
-from repro.core import Application, TornadoConfig, TornadoJob
+from repro.core import MAIN_LOOP, Application, TornadoConfig, TornadoJob
 from repro.core.processor import Processor
 from repro.datagen import livejournal_like
 from repro.streams import (ADD_EDGE, REMOVE_EDGE, UniformRate, edge_stream,
@@ -78,3 +80,43 @@ def test_fork_cost_tracks_the_branch_not_the_graph(monkeypatch):
             for vertex, value in second.values.items()} == held
     assert {vertex: repr(value) for vertex, value
             in job.result(second.query_id).values.items()} == held
+
+
+def test_a_stop_publishes_the_live_state_not_the_last_commit():
+    """``scatter`` clears ``retracted`` after the commit stored its
+    version, so a vertex whose last main-loop commit retracted an edge
+    lives on with a state its newest main-loop version does not show.  A
+    branch that shares the vertex and stops must return the live state
+    (the paper's branch starts from it), not fall through to that
+    version."""
+    program = SSSPProgram("s")
+    job = TornadoJob(Application(program, EdgeStreamRouter(), name="sssp"),
+                     TornadoConfig(n_processors=2, storage_backend="memory",
+                                   report_interval=0.01,
+                                   merge_policy="never"))
+    job.feed(stream_from([(ADD_EDGE, edge, 1) for edge in
+                          [("s", "a", 1.0), ("a", "b", 1.0),
+                           ("b", "c", 1.0), ("s", "d", 2.0)]],
+                         UniformRate(1e4)))
+    absorb(job)
+    job.feed(stream_from([(REMOVE_EDGE, ("a", "b", 1.0), -1)],
+                         UniformRate(1e4, start=job.sim.now)))
+    absorb(job)
+    job.run_for(0.01)
+    committed = job.store.get(MAIN_LOOP, "a")[0]
+    assert committed.retracted == {"b"}
+    owner = next(processor for processor in job.processors
+                 if "a" in processor.loops[MAIN_LOOP].vertices)
+    live = owner.loops[MAIN_LOOP].vertices["a"].value
+    assert live.retracted == set()
+
+    result = job.query_and_wait()
+    # The branch committed nothing: the stop published every vertex from
+    # the state it shared, at the main loop's iteration.
+    assert job.loop_totals(result.loop)["commits"] == 0
+    assert job.store.get_version(result.loop, "a")[0] \
+        == job.store.get_version(MAIN_LOOP, "a")[0]
+    assert result.values["a"].retracted == set()
+    assert repr(result.values["a"]) == repr(program.snapshot_value(live))
+    assert result.values["a"].distance == 1.0
+    assert result.values["b"].distance == math.inf

@@ -206,6 +206,113 @@ class TestIndexedStore:
         assert store.version_count() == 3
 
 
+_SEGMENT_KEYS = ["a", "b", "c", "d", "e"]
+_TRIPLE = st.tuples(st.sampled_from(_SEGMENT_KEYS), st.integers(0, 9),
+                    st.integers(0, 99))
+
+
+def _assert_reads_agree(layout: str, model: VersionedStore,
+                        store: VersionedStore, bounds: list[int]) -> None:
+    """Every read path, on every loop, answers alike on both stores —
+    dict orders and read charges included."""
+    probe = _SEGMENT_KEYS + ["ghost"]
+    for loop in ("main", "branch"):
+        assert store.keys(loop) == model.keys(loop)
+        assert store.version_count(loop) == model.version_count(loop)
+        for bound in [None, *bounds]:
+            for _ in range(2):          # the second read is a cache hit
+                assert list(store.snapshot(loop, bound).items()) \
+                    == list(model.snapshot(loop, bound).items())
+            assert list(store.get_many(loop, probe, bound).items()) \
+                == list(model.get_many(loop, probe, bound).items())
+            for key in probe:
+                assert store.get_version(loop, key, bound) \
+                    == model.get_version(loop, key, bound)
+                assert store.peek_version(loop, key, bound) \
+                    == model.peek_version(loop, key, bound)
+        for key in probe:
+            assert store.contains(loop, key) == (key in model.keys(loop))
+    assert store.export_versions() == model.export_versions()
+    assert store.version_count() == model.version_count()
+    if layout == "delta":
+        # The columnar layout reports physical slab bytes, which depend
+        # on its rebase history; a segment entry counts the object
+        # layout's flat per-version figure on both.
+        assert store.approx_bytes() == model.approx_bytes()
+    assert (store.puts, store.reads, store.internal_reads,
+            store.cache_hits, store.cache_misses) \
+        == (model.puts, model.reads, model.internal_reads,
+            model.cache_hits, model.cache_misses)
+
+
+class TestSegments:
+    """``put_segment`` against its specification: the same triples
+    ``put_many``'d into a twin store, minus the keys the loop already
+    has (the earlier write wins)."""
+
+    @pytest.mark.parametrize("layout", list(LAYOUTS))
+    @given(main=st.lists(_TRIPLE, max_size=6),
+           chains=st.lists(_TRIPLE, max_size=6),
+           segments=st.lists(st.lists(_TRIPLE, max_size=6), min_size=1,
+                             max_size=3),
+           main_first=st.booleans(),
+           late=st.lists(_TRIPLE, max_size=3),
+           bounds=st.lists(st.integers(-1, 10), max_size=3))
+    def test_a_segment_reads_as_put_many(self, layout, main, chains,
+                                         segments, main_first, late,
+                                         bounds):
+        model, store = make_store(layout), make_store(layout)
+        if main_first:
+            for twin in (model, store):
+                twin.put_many("main", main)
+        for twin in (model, store):
+            twin.put_many("branch", chains)
+        has = {key for key, _iteration, _value in chains}
+        for triples in segments:
+            segment = {key: (iteration, value)
+                       for key, iteration, value in triples}
+            fresh = [(key, iteration, value)
+                     for key, (iteration, value) in segment.items()
+                     if key not in has]
+            has.update(segment)
+            assert store.put_segment("branch", segment) \
+                == model.put_many("branch", fresh) == len(fresh)
+            _assert_reads_agree(layout, model, store, bounds)
+        if not main_first:
+            for twin in (model, store):
+                twin.put_many("main", main)
+        _assert_reads_agree(layout, model, store, bounds)
+        # An ordinary write after the segments joins them as if they
+        # had been put_many'd: same versions, same key order.
+        for key, iteration, value in late:
+            for twin in (model, store):
+                twin.put("branch", key, iteration, value)
+            _assert_reads_agree(layout, model, store, bounds)
+        for bound in bounds:
+            assert store.truncate_before("branch", bound) \
+                == model.truncate_before("branch", bound)
+        _assert_reads_agree(layout, model, store, bounds)
+        assert store.drop_loop("branch") == model.drop_loop("branch")
+        _assert_reads_agree(layout, model, store, bounds)
+
+    def test_the_store_keeps_the_segment_by_reference(self, store):
+        entry = (3, ("value", frozenset()))
+        store.put("branch", "a", 1, "committed")
+        assert store.put_segment("branch", {"a": (2, "late"),
+                                            "b": entry}) == 1
+        assert store.get_version("branch", "b") is entry
+        assert store.get_version("branch", "a") == (1, "committed")
+        assert store.put_segment("branch", {"b": (4, "second")}) == 0
+        assert store.snapshot("branch") == {"a": "committed",
+                                            "b": entry[1]}
+
+    def test_a_negative_iteration_writes_nothing(self, store):
+        with pytest.raises(StorageError):
+            store.put_segment("branch", {"a": (1, "v"), "b": (-1, "w")})
+        assert store.keys("branch") == []
+        assert store.puts == 0
+
+
 class TestDeltaStore:
     """Object-chain-only behavior: the per-chain pending-log rebase."""
 
