@@ -11,7 +11,6 @@ from repro.bench.fig9 import run_fig9
 from repro.bench.harness import ExperimentResult, ShapeCheck, percentile
 from repro.bench.live import run_live_bench
 from repro.bench.placement import run_placement
-from repro.bench.scale import run_scale
 from repro.bench.skew import run_skew
 from repro.bench.table1 import run_table1
 from repro.bench.table2 import run_fig8a, run_table2
@@ -45,7 +44,6 @@ __all__ = [
     "run_fig9",
     "run_live_bench",
     "run_placement",
-    "run_scale",
     "run_skew",
     "run_table1",
     "run_table2",

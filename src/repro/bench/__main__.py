@@ -10,10 +10,6 @@ Usage::
                                           # migration vs stop-the-world
     python -m repro.bench live            # multiprocessing backend scaling
                                           # (merges into BENCH_perf.json)
-    python -m repro.bench scale --quick   # columnar store vs object store
-                                          # at R-MAT scale (merges into
-                                          # BENCH_perf.json; add
-                                          # --check-baseline in CI)
     python -m repro.bench tenants --quick # zipf multi-tenant JobManager
                                           # (merges into BENCH_perf.json)
     python -m repro.bench placement       # resource-aware placement A/B +
@@ -33,8 +29,8 @@ from repro.bench import (MEDIUM, SMALL, run_ablation_activation,
                          run_failure_figure, run_fig5, run_fig6a,
                          run_fig6b, run_fig7a, run_fig7b, run_fig8a,
                          run_fig8b, run_fig9, run_live_bench,
-                         run_placement, run_scale, run_skew, run_table1,
-                         run_table2, run_table3, run_tenants)
+                         run_placement, run_skew, run_table1, run_table2,
+                         run_table3, run_tenants)
 from repro.bench.harness import ExperimentResult
 
 
@@ -68,8 +64,6 @@ def _experiments(scale, trace: bool = False, quick: bool = False,
         "live": lambda: run_live_bench(quick=quick),
         "placement": lambda: run_placement(
             quick=quick, check_baseline=check_baseline),
-        "scale": lambda: run_scale(quick=quick,
-                                   check_baseline=check_baseline),
         "tenants": lambda: run_tenants(quick=quick),
     }
 
@@ -85,7 +79,6 @@ def main(argv: list[str]) -> int:
     if not wanted:
         experiments.pop("live")
         experiments.pop("placement")
-        experiments.pop("scale")
         experiments.pop("tenants")
     if wanted:
         unknown = [w for w in wanted

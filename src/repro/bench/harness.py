@@ -16,7 +16,7 @@ from typing import Any, Iterable
 import numpy as np
 
 #: Top-level sections of ``BENCH_perf.json``, one per bench writer.
-BENCH_SECTIONS = ("live", "placement", "scale", "tenants")
+BENCH_SECTIONS = ("live", "placement", "tenants")
 
 
 def merge_bench_json(json_path: str,
@@ -25,7 +25,7 @@ def merge_bench_json(json_path: str,
     JSON file — the one place every bench writer goes through, so no
     writer can clobber a sibling's section again.
 
-    Section writers (``merge_bench_json(path, {"scale": report})``) keep
+    Section writers (``merge_bench_json(path, {"live": report})``) keep
     every previous top-level key that ``updates`` does not name.  A
     missing or unparsable file merges as empty.
 

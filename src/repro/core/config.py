@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.errors import ConfigError
@@ -74,18 +75,6 @@ class TornadoConfig:
     #: flight-recorder oracle (``repro.live.oracle``).
     backend: str = "sim"
 
-    # ------------------------------------------------------------- layouts
-    #: Columnar vertex-state engine: the versioned store keeps per-loop
-    #: numpy column slabs ((slot << 32) | iteration composites + object
-    #: value columns, pending slab log, batched rebases) instead of
-    #: per-key Python chains, and combiner-friendly programs that
-    #: declare an algebra vector spec gather through numpy kernels.
-    #: ``False`` (the default) runs the object-layout store byte for
-    #: byte — same seed, byte-identical flight-recorder digests either
-    #: way (the scalar path is the oracle; one of two A/B gates, with
-    #: ``placement``).
-    columnar: bool = False
-
     # ------------------------------------------------------ iteration model
     #: Delay bound B (paper §4.4).  1 = synchronous; large = asynchronous.
     delay_bound: int = 65536
@@ -108,9 +97,7 @@ class TornadoConfig:
     storage_backend: str = "disk"
     disk_seek_cost: float = 1.5e-3
     disk_record_cost: float = 2e-6
-    #: Pending-log length that triggers a store rebase on write (the
-    #: columnar layout additionally grows the threshold geometrically
-    #: with the base slab).
+    #: Pending-log length that triggers a store rebase on write.
     store_rebase_interval: int = 16
     #: Distinct ``(loop, bound)`` snapshot views kept by the store's LRU
     #: snapshot cache.
@@ -241,11 +228,20 @@ class TornadoConfig:
         if self.placement not in ("round_robin", "resource_aware"):
             raise ConfigError(
                 f"unknown placement policy: {self.placement!r}")
-        if any(c <= 0 for c in self.placement_node_capacity):
-            raise ConfigError("node capacities must be positive")
-        if self.migration_criticality_weight < 0:
-            raise ConfigError(
-                "migration_criticality_weight must be >= 0")
+        # NaN and infinity pass a plain ``< 0`` check but poison the
+        # placer's capacity shares and make the rebalancer's trigger
+        # comparisons false for ever: reject them here, loudly.
+        if not all(c > 0 and math.isfinite(c)
+                   for c in self.placement_node_capacity):
+            raise ConfigError("node capacities must be positive and finite")
+        if not (self.rebalance_factor > 0
+                and math.isfinite(self.rebalance_factor)):
+            raise ConfigError("rebalance_factor must be > 0 and finite")
+        for name in ("rebalance_min_gap", "rebalance_cooldown",
+                     "migration_criticality_weight"):
+            value = getattr(self, name)
+            if not (value >= 0 and math.isfinite(value)):
+                raise ConfigError(f"{name} must be >= 0 and finite")
         if self.migration_max_batch < 1:
             raise ConfigError("migration_max_batch must be >= 1")
         if self.migration_report_top_k < 1:

@@ -24,49 +24,6 @@ from repro.streams.model import ADD_EDGE, REMOVE_EDGE
 
 
 @dataclass(frozen=True)
-class VectorSpec:
-    """Numpy-free *description* of an algebra's arithmetic, declared so
-    the columnar engine (:mod:`repro.core.columnar`) can interpret the
-    algebra with numpy kernels: the slot reduction becomes an array
-    reduce in the processor's gather, and whole-graph sweeps become
-    ``np.minimum.at`` / ``bincount`` passes in the bulk engine.  The
-    spec carries only strings and plain values — declaring one does not
-    import numpy, so the DSL stays usable without the columnar path.
-
-    Attributes
-    ----------
-    reduce:
-        Slot reduction: ``"min"``, ``"max"`` or ``"any"`` (kernelised by
-        the columnar engine).  Other reductions — e.g. ``"sum"`` — may
-        still be declared: they get no gather kernel and the scalar
-        ``combine`` stays.
-    extend:
-        Edge transform for bulk sweeps: ``"add"`` (value + weight),
-        ``"copy"`` (value unchanged) or ``"min"`` (min(value, weight)).
-    dtype:
-        Value column dtype: ``"float64"``, ``"bool"`` or ``"int64"``.
-    source / source_value:
-        Optional pinned vertex (e.g. the SSSP root) and its fixed value.
-    empty:
-        The combined value of a vertex with no offers.
-    cap:
-        Optional upper bound: a reduced value ≥ cap collapses to
-        ``empty`` (SSSP's ``max_distance``).
-    include_self:
-        Include the vertex id itself in the reduction (min-label).
-    """
-
-    reduce: str
-    extend: str
-    dtype: str = "float64"
-    source: Any = None
-    source_value: Any = None
-    empty: Any = None
-    cap: float | None = None
-    include_self: bool = False
-
-
-@dataclass(frozen=True)
 class Algebra:
     """Declarative specification of a slot-combining graph computation.
 
@@ -87,11 +44,6 @@ class Algebra:
         share a dispatch window.  Slot-replacement semantics make
         last-wins (:func:`repro.core.vertex.replace_update`) sound for
         every algebra; ``None`` keeps batching without merging.
-    vector_spec:
-        Optional :class:`VectorSpec` — the numpy-interpretable variant
-        of ``combine``/``extend`` the columnar engine swaps in when
-        ``TornadoConfig.columnar`` is on.  Must compute bit-identical
-        values to the scalar closures (the digest oracle checks it).
     """
 
     bottom: Any
@@ -99,7 +51,6 @@ class Algebra:
     extend: Callable[[Any, float], Any]
     changed: Callable[[Any, Any], bool] = lambda old, new: old != new
     combine_updates: Callable[[Any, Any], Any] | None = None
-    vector_spec: VectorSpec | None = None
 
 
 @dataclass
@@ -116,24 +67,6 @@ class AlgebraicProgram(VertexProgram):
     def __init__(self, algebra: Algebra) -> None:
         self.algebra = algebra
         self.update_combiner = algebra.combine_updates
-        #: The combine actually called by :meth:`gather`; swapped for a
-        #: numpy kernel by :meth:`enable_columnar_kernels`.
-        self._combine = algebra.combine
-
-    def enable_columnar_kernels(self) -> bool:
-        """Swap in the numpy interpretation of the algebra (processors
-        call this when ``TornadoConfig.columnar`` is on).  Idempotent;
-        returns whether a kernel is active.  No-op — scalar combine
-        stays — when the algebra declares no :class:`VectorSpec`."""
-        if self._combine is not self.algebra.combine:
-            return True
-        from repro.core.columnar import make_combine_kernel
-
-        kernel = make_combine_kernel(self.algebra)
-        if kernel is None:
-            return False
-        self._combine = kernel
-        return True
 
     def init(self, ctx: VertexContext) -> None:
         value = self.algebra.combine(ctx.vertex_id, {})
@@ -147,7 +80,7 @@ class AlgebraicProgram(VertexProgram):
             state.slots.pop(source, None)
         else:
             state.slots[source] = delta
-        new_value = self._combine(ctx.vertex_id, state.slots)
+        new_value = self.algebra.combine(ctx.vertex_id, state.slots)
         if self.algebra.changed(state.value, new_value):
             state.value = new_value
             return True
@@ -205,10 +138,6 @@ def shortest_paths(source: Any,
         combine=combine,
         extend=lambda value, weight: value + weight,
         combine_updates=replace_update,
-        vector_spec=VectorSpec(reduce="min", extend="add",
-                               dtype="float64", source=source,
-                               source_value=0.0, empty=inf,
-                               cap=max_distance),
     ))
 
 
@@ -223,9 +152,6 @@ def reachability(source: Any) -> AlgebraicProgram:
         combine=combine,
         extend=lambda value, weight: value,
         combine_updates=replace_update,
-        vector_spec=VectorSpec(reduce="any", extend="copy", dtype="bool",
-                               source=source, source_value=True,
-                               empty=False),
     ))
 
 
@@ -244,9 +170,6 @@ def widest_path(source: Any) -> AlgebraicProgram:
         combine=combine,
         extend=lambda value, weight: min(value, weight),
         combine_updates=replace_update,
-        vector_spec=VectorSpec(reduce="max", extend="min",
-                               dtype="float64", source=source,
-                               source_value=inf, empty=0.0),
     ))
 
 
@@ -263,8 +186,4 @@ def min_label() -> AlgebraicProgram:
         combine=combine,
         extend=lambda value, weight: value,
         combine_updates=replace_update,
-        # Labels are vertex ids; the int64 kernel fires on integer ids
-        # and falls back to the scalar combine for e.g. string ids.
-        vector_spec=VectorSpec(reduce="min", extend="copy",
-                               dtype="int64", include_self=True),
     ))

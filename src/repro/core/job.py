@@ -109,7 +109,6 @@ class TornadoJob:
         #: resource-aware plan on re-submission.
         self._link_scores: dict[tuple[str, str], float] | None = None
         self.store = VersionedStore(
-            columnar=self.config.columnar,
             rebase_interval=self.config.store_rebase_interval,
             snapshot_cache_size=self.config.store_snapshot_cache_size)
         self.manifest = CheckpointManifest()

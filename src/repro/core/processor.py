@@ -238,18 +238,6 @@ class Processor(Actor):
         self._window_pool: list[tuple[list, dict]] = []
         self._spare_window: dict | None = None
         self._m_window_reuse = metrics.counter("core.window_reuse")
-        # --------------------------------------------------- columnar path
-        # With ``columnar`` on, programs that declare a vector spec swap
-        # their slot reduction for the exact numpy kernel.  Protocol
-        # event order, changed flags and traces are untouched (they are
-        # digest-visible); only the arithmetic inside gather vectorizes.
-        self._vector_kernel = False
-        if config.columnar:
-            enable = getattr(app.program, "enable_columnar_kernels", None)
-            if enable is not None:
-                self._vector_kernel = bool(enable())
-        self._m_vector_gathers = metrics.counter("core.vector_gathers")
-        self._m_vector_windows = metrics.counter("core.vector_windows")
         self._g_store_cache_hits = metrics.gauge("storage.cache_hits")
         self._g_store_cache_misses = metrics.gauge("storage.cache_misses")
         self._g_store_rebases = metrics.gauge("storage.rebases")
@@ -634,8 +622,6 @@ class Processor(Actor):
         loop.gathered_total += 1
         self.total_updates_gathered += 1
         self._m_updates.inc()
-        if self._vector_kernel:
-            self._m_vector_gathers.inc()
         if self._trace.enabled:
             self._trace.record(self.sim.now, "protocol", "update",
                                actor=self.name, loop=loop.name,
@@ -788,12 +774,7 @@ class Processor(Actor):
     def _handle_column_batch(self, msg: ColumnBatch) -> float:
         """Unpack a session frame in its original send order: column runs
         go through :meth:`_apply_rows`, scalar segments through the exact
-        single-message path.  With the columnar kernels active the
-        frame's gathers run the vectorized slot reduction — the unpack is
-        the receiver-side seam the vector path rides through, counted per
-        frame for the A/B gauges."""
-        if self._vector_kernel:
-            self._m_vector_windows.inc()
+        single-message path."""
         cost = 0.0
         for seg in msg.segments:
             if type(seg) is tuple:

@@ -1,8 +1,7 @@
 """Seeded synthetic dataset generators (the paper's Table 1, scaled)."""
 
 from repro.datagen.graphs import (connected_core, degree_histogram,
-                                  livejournal_like, rmat_edges,
-                                  rmat_edges_fast)
+                                  livejournal_like, rmat_edges)
 from repro.datagen.instances import higgs_like, pubmed_like
 from repro.datagen.points import gaussian_mixture
 
@@ -14,5 +13,4 @@ __all__ = [
     "livejournal_like",
     "pubmed_like",
     "rmat_edges",
-    "rmat_edges_fast",
 ]

@@ -49,78 +49,6 @@ def rmat_edges(n_vertices: int, n_edges: int, rng: np.random.Generator,
     return edges
 
 
-def rmat_edges_fast(n_vertices: int, n_edges: int,
-                    rng: np.random.Generator,
-                    a: float = 0.57, b: float = 0.19, c: float = 0.19,
-                    self_loops: bool = False,
-                    deduplicate: bool = True
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized R-MAT: same recursive-quadrant model as
-    :func:`rmat_edges`, drawing every quadrant choice for a whole batch
-    of candidate edges at once and filtering self-loops / parallel edges
-    *after* the draw.  Post-draw filtering keeps the base random stream
-    independent of the flags: toggling ``self_loops`` / ``deduplicate``
-    changes which candidates survive, never which numbers are drawn —
-    the property the seeded-determinism regression test pins.
-
-    Returns ``(src, dst)`` int64 arrays (the bulk engine's native edge
-    format), not tuple lists — this is the generator ``repro.bench
-    scale`` uses for 10⁶-vertex graphs, where the scalar generator's
-    per-edge Python loop would dominate the bench.  The numbers drawn
-    differ from :func:`rmat_edges` (batched draws consume the stream in
-    a different order), so existing scalar-generator seeds are
-    untouched.
-    """
-    if n_vertices < 2:
-        raise ValueError("need at least 2 vertices")
-    if not 0 < a + b + c < 1:
-        raise ValueError("quadrant probabilities must sum below 1")
-    scale = int(np.ceil(np.log2(n_vertices)))
-    probabilities = np.array([a, b, c, 1.0 - a - b - c])
-    src_parts: list[np.ndarray] = []
-    dst_parts: list[np.ndarray] = []
-    seen: np.ndarray | None = None
-    total = 0
-    rounds = 8  # oversampling retries, mirroring the scalar budget
-    batch = n_edges
-    while total < n_edges and rounds > 0:
-        rounds -= 1
-        # One (batch, scale) draw: each column is one recursion level.
-        quadrants = rng.choice(4, size=(batch, scale), p=probabilities)
-        u = np.zeros(batch, dtype=np.int64)
-        v = np.zeros(batch, dtype=np.int64)
-        for level in range(scale):
-            u = (u << 1) | (quadrants[:, level] >> 1)
-            v = (v << 1) | (quadrants[:, level] & 1)
-        u %= n_vertices
-        v %= n_vertices
-        keep = np.ones(batch, dtype=bool)
-        if not self_loops:
-            keep &= u != v
-        if deduplicate:
-            pair = u * np.int64(n_vertices) + v
-            # Drop repeats within the batch (first occurrence wins, in
-            # draw order — matching the scalar generator's semantics)
-            # and against all earlier batches.
-            order = np.argsort(pair, kind="stable")
-            sorted_pair = pair[order]
-            first = np.ones(batch, dtype=bool)
-            first[order[1:]] = sorted_pair[1:] != sorted_pair[:-1]
-            keep &= first
-            if seen is not None:
-                keep &= ~np.isin(pair, seen, assume_unique=False)
-            kept_pairs = pair[keep]
-            seen = (kept_pairs if seen is None
-                    else np.concatenate([seen, kept_pairs]))
-        u, v = u[keep], v[keep]
-        src_parts.append(u)
-        dst_parts.append(v)
-        total += len(u)
-    src = np.concatenate(src_parts)[:n_edges]
-    dst = np.concatenate(dst_parts)[:n_edges]
-    return src, dst
-
-
 def connected_core(edges: list[tuple[int, int]],
                    source: int) -> list[tuple[int, int]]:
     """Edges reachable from ``source`` (useful to make SSSP interesting)."""

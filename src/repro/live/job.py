@@ -136,7 +136,6 @@ class LiveJob(TornadoJob):
         #: resolve against the live kernel.
         self.sim = self.kernel
         self.store = VersionedStore(
-            columnar=self.config.columnar,
             rebase_interval=self.config.store_rebase_interval,
             snapshot_cache_size=self.config.store_snapshot_cache_size)
         self.manifest = CheckpointManifest()
@@ -273,8 +272,6 @@ class LiveJob(TornadoJob):
         elif isinstance(item, StoreWrite):
             for loop, key, iteration, value in item.entries:
                 self.store.put(loop, key, iteration, value)
-            for loop, keys, iterations, values in item.slabs:
-                self.store.put_columns(loop, keys, iterations, values)
             for loop, iteration in item.frontiers:
                 self.manifest.record_flush(loop, item.processor, iteration)
             if item.evidence is not None:

@@ -25,22 +25,12 @@ from repro.storage.backends import StorageBackend
 from repro.storage.versioned import VersionedStore
 
 
-def _native(value: Any) -> Any:
-    """Unbox 0-d numpy scalars so journal entries pickle as plain
-    Python values (wire frames must not require numpy to unpickle)."""
-    if getattr(value, "ndim", None) == 0 and hasattr(value, "item"):
-        return value.item()
-    return value
-
-
 class WorkerStore(VersionedStore):
     """A VersionedStore that journals every write for shipping."""
 
-    def __init__(self, columnar: bool = False,
-                 rebase_interval: int | None = None,
+    def __init__(self, rebase_interval: int | None = None,
                  snapshot_cache_size: int | None = None) -> None:
-        super().__init__(columnar=columnar,
-                         rebase_interval=rebase_interval,
+        super().__init__(rebase_interval=rebase_interval,
                          snapshot_cache_size=snapshot_cache_size)
         self._journal: list[tuple[str, Any, int, Any]] = []
         self._recording = True
@@ -59,48 +49,10 @@ class WorkerStore(VersionedStore):
                                  for key, iteration, value in items)
         return count
 
-    def put_columns(self, loop: str, keys: Any, iterations: Any,
-                    values: Any) -> int:
-        count = super().put_columns(loop, keys, iterations, values)
-        if self._recording and count:
-            # Journal element-wise into the single ordered log; flush
-            # time re-coalesces runs into column slabs (take_slabs), so
-            # interleaved scalar puts keep their last-write-wins order.
-            if getattr(iterations, "ndim", None) == 0:
-                iterations = int(iterations)
-            if isinstance(iterations, int):
-                iterations = [iterations] * count
-            self._journal.extend(
-                (loop, _native(key), int(iteration), _native(value))
-                for key, iteration, value
-                in zip(keys, iterations, values))
-        return count
-
     def take_journal(self) -> list[tuple[str, Any, int, Any]]:
         journal = self._journal
         self._journal = []
         return journal
-
-    def take_slabs(self) -> list[tuple[str, tuple, tuple, tuple]]:
-        """Drain the journal as column slabs: maximal same-loop runs of
-        entries become ``(loop, keys, iterations, values)`` frames, in
-        journal order — the master replays each with ``put_columns`` and
-        gets exactly the state a scalar replay would build."""
-        journal = self.take_journal()
-        slabs: list[tuple[str, tuple, tuple, tuple]] = []
-        index = 0
-        while index < len(journal):
-            loop = journal[index][0]
-            run = index
-            while run < len(journal) and journal[run][0] == loop:
-                run += 1
-            chunk = journal[index:run]
-            slabs.append((loop,
-                          tuple(entry[1] for entry in chunk),
-                          tuple(entry[2] for entry in chunk),
-                          tuple(entry[3] for entry in chunk)))
-            index = run
-        return slabs
 
     def hydrate(self, entries: Iterable[tuple[str, Any, int, Any]]) -> int:
         """Re-seed from a master :class:`StoreLoad` dump without
@@ -142,30 +94,19 @@ class LiveBackend(StorageBackend):
     def flush(self, n_records: int, callback: Any, *args: Any) -> None:
         from repro.live.wire import StoreWrite
 
-        # Columnar workers ship the journal as column slabs (one frame
-        # entry per same-loop run) so the master can replay whole runs
-        # through vectorized put_columns; entries and slabs are mutually
-        # exclusive on a frame.
-        if self.store.columnar:
-            entries: tuple = ()
-            slabs = tuple(self.store.take_slabs())
-            records = sum(len(slab[1]) for slab in slabs)
-        else:
-            entries = tuple(self.store.take_journal())
-            slabs = ()
-            records = len(entries)
+        entries = tuple(self.store.take_journal())
         # The processor passes (snapshots, frontiers) through the flush;
         # the frontiers ride the StoreWrite so the *master* can record
         # the durable-iteration manifest the simulator's processors wrote
         # into shared memory.
         frontiers = args[1] if len(args) > 1 else ()
         self.flushes += 1
-        self.records_flushed += records
-        if entries or slabs or frontiers:
+        self.records_flushed += len(entries)
+        if entries or frontiers:
             evidence = self.evidence() if self.evidence is not None else None
             self.net.send_control(StoreWrite(
                 self.owner, self.flushes, entries,
-                tuple(frontiers), slabs, evidence))
+                tuple(frontiers), evidence))
         callback(*args)
 
     def read(self, n_records: int, callback: Any, *args: Any) -> None:

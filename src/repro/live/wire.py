@@ -11,8 +11,7 @@ families travel on the queues:
   stamp; the receiver merges the stamp into its own clock, which yields
   the virtual ordering the flight recorder stamps events with.  A
   session envelope's payload is usually a ``ColumnBatch`` — session
-  updates as column runs of plain tuples (the live sibling of
-  ``StoreWrite.slabs``).
+  updates as column runs of plain tuples.
   A wire travels on the direct queue between its two workers, or on a
   worker's master queue when one end lives in the master process (or,
   after a respawn, when the direct queue died with the old incarnation).
@@ -80,10 +79,6 @@ class StoreWrite:
     entries: tuple
     #: ``(loop, iteration)`` durable frontiers as of this flush.
     frontiers: tuple
-    #: Column slabs ``(loop, keys, iterations, values)`` — the columnar
-    #: layout's journal format (mutually exclusive with ``entries``; the
-    #: master replays each slab through vectorized ``put_columns``).
-    slabs: tuple = ()
     #: The worker's :class:`ChannelEvidence` as of this flush (None when
     #: the master already has exactly these counts, or when the flush
     #: happened with unhandled frames in the inbox).

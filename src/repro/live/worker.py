@@ -142,7 +142,6 @@ def worker_main(spec: WorkerSpec, inbound: Any, outbound: Any,
                         peers_in, peers_out)
         partition = PartitionScheme(list(spec.worker_names))
         store = WorkerStore(
-            columnar=config.columnar,
             rebase_interval=config.store_rebase_interval,
             snapshot_cache_size=config.store_snapshot_cache_size)
         backend = LiveBackend(store, net, spec.name)

@@ -6,41 +6,25 @@ chain of ``(iteration, value)`` versions.  Branch loops snapshot the main
 loop by reading, for each vertex, the most recent version whose iteration is
 not greater than the fork iteration (paper §5.2).
 
-Two layouts, A/B-gated by ``columnar``:
+One layout, plain Python objects: a per-loop key index (loop-scoped
+walks touch only that loop's chains), one chain per key that absorbs
+writes into a pending delta log consolidated by periodic *rebases*
+(arrangement-style: the sorted base arrays are rebuilt only every
+``rebase_interval`` writes or before a read), and an LRU snapshot cache
+keyed ``(loop, bound)``, invalidated by per-loop generation counters —
+repeated branch-fork reads of an unchanged loop stop re-walking full
+chains.
 
-* **Object chains** (the default): a per-loop key index
-  (loop-scoped walks touch only that loop's chains), chains that absorb
-  writes into a pending delta log consolidated by periodic *rebases*
-  (arrangement-style: the sorted base arrays are rebuilt only every
-  ``rebase_interval`` writes or before a read), and an LRU snapshot
-  cache keyed ``(loop, bound)``, invalidated by per-loop generation
-  counters — repeated branch-fork reads of an unchanged loop stop
-  re-walking full chains.
-* **Columnar** (``columnar=True``): per-loop numpy column slabs — one
-  sorted ``(slot << 32) | iteration`` int64 column + a parallel object
-  value column per loop, a slab-level pending log folded in by batched
-  rebases, and vectorized ``get_many`` / ``snapshot`` /
-  ``truncate_before`` (see :mod:`repro.storage.columnar`).  Results and
-  dict orderings are identical to the object chains — same-seed runs
-  produce byte-identical flight-recorder digests either way; only the
-  housekeeping gauges (``rebases``) count different internal events.
-  The columnar backend is imported lazily so the object layouts stay
-  importable without numpy.
-
-The snapshot LRU cache and per-loop generation counters are shared by
-both layouts.
-
-Three write forms: single ``put`` calls, batched ``put_many`` /
-``put_columns``, and ``put_segment`` for write-once namespaces — a
-stopped branch loop's final state.  A segment is one caller-built dict
-``key -> (iteration, value)`` kept *by reference* above the layout: no
-per-key chain or slab row, so the values it shares with other segments
-and with the main loop's published-version cache stay shared.  Every
-read path sees segment entries exactly as if they had been
-``put_many``'d in dict order — keys in the layout first, then segments
-in write order — and a later ordinary write to the loop folds its
-segments into the layout first, so that equivalence holds whatever
-follows.
+Three write forms: single ``put`` calls, batched ``put_many``, and
+``put_segment`` for write-once namespaces — a stopped branch loop's
+final state.  A segment is one caller-built dict ``key -> (iteration,
+value)`` kept *by reference* beside the chains: no per-key chain, so the
+values it shares with other segments and with the main loop's
+published-version cache stay shared.  Every read path sees segment
+entries exactly as if they had been ``put_many``'d in dict order — keys
+with chains first, then segments in write order — and a later ordinary
+write to the loop folds its segments into chains first, so that
+equivalence holds whatever follows.
 
 Cost-model accounting is split: :attr:`reads` counts *protocol* reads
 (vertex seeding, fork snapshots, query results); runtime housekeeping
@@ -145,10 +129,8 @@ class VersionedStore:
     immutability of committed values.
     """
 
-    def __init__(self, columnar: bool = False,
-                 rebase_interval: int | None = None,
+    def __init__(self, rebase_interval: int | None = None,
                  snapshot_cache_size: int | None = None) -> None:
-        self.columnar = columnar
         self.rebase_interval = (REBASE_INTERVAL if rebase_interval is None
                                 else rebase_interval)
         self.snapshot_cache_size = (SNAPSHOT_CACHE_SIZE
@@ -168,9 +150,8 @@ class VersionedStore:
         self.rebases = 0
         self.cache_hits = 0
         self.cache_misses = 0
-        # Object chains: loop -> key -> chain, plus the snapshot cache
+        # Chains: loop -> key -> chain, plus the snapshot cache
         # ((loop, bound) -> (generation, view)) and per-loop generations.
-        # Cache and generations are shared with the columnar layout.
         self._loops: dict[str, dict[Any, _Chain]] = {}
         self._snap_cache: OrderedDict[tuple[str, int | None],
                                       tuple[int, dict[Any, Any]]] \
@@ -178,15 +159,8 @@ class VersionedStore:
         self._generation: dict[str, int] = {}
         # Write-once segments per loop, in write order (see module doc):
         # key -> (iteration, value), no key in two of them or in the
-        # layout.  Shared by both layouts.
+        # chains.
         self._segments: dict[str, list[dict[Any, tuple[int, Any]]]] = {}
-        # Columnar layout: numpy slab backend, imported lazily so the
-        # object layouts stay importable without numpy installed.
-        if columnar:
-            from repro.storage.columnar import ColumnarStore
-            self._col = ColumnarStore(self, self.rebase_interval)
-        else:
-            self._col = None
 
     # ----------------------------------------------------------- internals
     def _find(self, loop: str, key: Any) -> _Chain | None:
@@ -195,8 +169,8 @@ class VersionedStore:
 
     def _append(self, loop: str, key: Any, iteration: int,
                 value: Any) -> None:
-        """Log one write on the object chains (the caller bumps the
-        generation and counts the put)."""
+        """Log one write on a chain (the caller bumps the generation and
+        counts the put)."""
         chains = self._loops.setdefault(loop, {})
         chain = chains.get(key)
         if chain is None:
@@ -213,12 +187,6 @@ class VersionedStore:
     def _bump(self, loop: str) -> None:
         self._generation[loop] = self._generation.get(loop, 0) + 1
 
-    def _key_index(self, loop: str) -> dict[Any, Any]:
-        """The layout's keys of a loop, as a dict (segments excluded)."""
-        if self.columnar:
-            return self._col.key_index(loop)
-        return self._loops.get(loop, {})
-
     def _segmented(self, loop: str | None = None) -> int:
         """Entries in a loop's segments (in every loop's for None)."""
         lists = (self._segments.values() if loop is None
@@ -227,14 +195,13 @@ class VersionedStore:
                    for segment in segments)
 
     def _thaw(self, loop: str) -> None:
-        """Fold a loop's segments into the layout before an ordinary
-        write, in the order ``put_many`` would have written them, so
-        the keys and versions a later write joins read as if no segment
-        had ever been taken.  Counted as puts when the segment was."""
-        write = self._col.put if self.columnar else self._append
+        """Fold a loop's segments into chains before an ordinary write,
+        in the order ``put_many`` would have written them, so the keys
+        and versions a later write joins read as if no segment had ever
+        been taken.  Counted as puts when the segment was."""
         for segment in self._segments.pop(loop):
             for key, (iteration, value) in segment.items():
-                write(loop, key, iteration, value)
+                self._append(loop, key, iteration, value)
 
     def _latest(self, loop: str, key: Any,
                 max_iteration: int | None) -> tuple[int, Any] | None:
@@ -246,8 +213,6 @@ class VersionedStore:
                     if max_iteration is None or found[0] <= max_iteration:
                         return found
                     return None
-        if self.columnar:
-            return self._col.latest(loop, key, max_iteration)
         chain = self._find(loop, key)
         if chain is None:
             return None
@@ -262,10 +227,7 @@ class VersionedStore:
         if loop in self._segments:
             self._thaw(loop)
         self.puts += 1
-        if self.columnar:
-            self._col.put(loop, key, iteration, value)
-        else:
-            self._append(loop, key, iteration, value)
+        self._append(loop, key, iteration, value)
         self._bump(loop)
 
     def put_many(self, loop: str,
@@ -280,42 +242,12 @@ class VersionedStore:
                 raise StorageError(f"negative iteration: {iteration}")
         if items and loop in self._segments:
             self._thaw(loop)
-        write = self._col.put if self.columnar else self._append
         for key, iteration, value in items:
-            write(loop, key, iteration, value)
+            self._append(loop, key, iteration, value)
         self.puts += len(items)
         if items:
             self._bump(loop)
         return len(items)
-
-    def put_columns(self, loop: str, keys: Any, iterations: Any,
-                    values: Any) -> int:
-        """Column-slab write: parallel key/iteration/value arrays (the
-        iteration may be a scalar covering the whole slab).  On the
-        columnar layout this appends one numpy block to the loop's
-        pending log; the object layouts fall back to element-wise puts,
-        so callers (bulk engine, live journal) need not branch."""
-        if self.columnar:
-            if loop in self._segments:
-                self._thaw(loop)
-            count = self._col.put_columns(loop, keys, iterations, values)
-            self.puts += count
-            if count:
-                self._bump(loop)
-            return count
-        # Unbox ndarray columns to plain Python lists first: iterating a
-        # numpy array yields numpy scalars, which must never reach the
-        # object chains (their reprs poison canonical digests).
-        keys = keys.tolist() if hasattr(keys, "tolist") else keys
-        iterations = (iterations.tolist()
-                      if hasattr(iterations, "tolist") else iterations)
-        values = values.tolist() if hasattr(values, "tolist") else values
-        if isinstance(iterations, int):
-            triples = ((key, iterations, value)
-                       for key, value in zip(keys, values, strict=True))
-        else:
-            triples = zip(keys, iterations, values, strict=True)
-        return self.put_many(loop, triples)
 
     def put_segment(self, loop: str,
                     segment: dict[Any, tuple[int, Any]]) -> int:
@@ -329,19 +261,16 @@ class VersionedStore:
         if segment and min(map(itemgetter(0), segment.values())) < 0:
             raise StorageError("negative iteration in segment")
         segments = self._segments.get(loop, [])
-        for earlier in (self._key_index(loop), *segments):
+        for earlier in (self._loops.get(loop), *segments):
             if earlier:
                 for key in segment.keys() & earlier.keys():
                     del segment[key]
         if not segment:
             return 0
         if not segments:
-            # The loop's place among the layout's loops (export order)
-            # is where put_many would have put it.
-            if self.columnar:
-                self._col.obtain(loop)
-            else:
-                self._loops.setdefault(loop, {})
+            # The loop's place among the loops (export order) is where
+            # put_many would have put it.
+            self._loops.setdefault(loop, {})
             self._segments[loop] = segments
         segments.append(segment)
         self.puts += len(segment)
@@ -358,11 +287,8 @@ class VersionedStore:
             raise StorageError(f"negative iteration: {iteration}")
         if loop in self._segments:
             self._thaw(loop)
-        if self.columnar:
-            newest = self._col.max_iteration(loop, key)
-        else:
-            chain = self._find(loop, key)
-            newest = None if chain is None else chain.max_iteration()
+        chain = self._find(loop, key)
+        newest = None if chain is None else chain.max_iteration()
         if newest is not None and newest >= iteration:
             return False
         self.put(loop, key, iteration, value)
@@ -399,16 +325,13 @@ class VersionedStore:
         """Batched point reads: key -> (iteration, value) for every key
         with a version ≤ the bound.  ``internal`` routes the charge to
         :attr:`internal_reads` (housekeeping walks)."""
-        if self.columnar and loop not in self._segments:
-            walked, found = self._col.latest_many(loop, keys, max_iteration)
-        else:
-            found = {}
-            walked = 0
-            for key in keys:
-                walked += 1
-                version = self._latest(loop, key, max_iteration)
-                if version is not None:
-                    found[key] = version
+        found = {}
+        walked = 0
+        for key in keys:
+            walked += 1
+            version = self._latest(loop, key, max_iteration)
+            if version is not None:
+                found[key] = version
         if internal:
             self.internal_reads += walked
         else:
@@ -418,15 +341,15 @@ class VersionedStore:
     def keys(self, loop: str) -> list[Any]:
         """Keys of a loop, as a snapshot list (callers may mutate the store
         while walking it)."""
-        keys = list(self._key_index(loop))
+        keys = list(self._loops.get(loop, ()))
         for segment in self._segments.get(loop, ()):
             keys.extend(segment)
         return keys
 
     def contains(self, loop: str, key: Any) -> bool:
         """Whether ``key`` has a version in ``loop`` — one dict probe per
-        layout index and segment, no chain settle."""
-        if key in self._key_index(loop):
+        key index and segment, no chain settle."""
+        if key in self._loops.get(loop, ()):
             return True
         for segment in self._segments.get(loop, ()):
             if key in segment:
@@ -440,7 +363,7 @@ class VersionedStore:
         reads of an unchanged loop are served from the LRU cache.
         ``internal`` walks (e.g. in-memory result merging) are billed to
         :attr:`internal_reads`."""
-        walked = len(self._key_index(loop)) + self._segmented(loop)
+        walked = len(self._loops.get(loop, ())) + self._segmented(loop)
         cache_key = (loop, max_iteration)
         generation = self._generation.get(loop, 0)
         entry = self._snap_cache.get(cache_key)
@@ -450,15 +373,12 @@ class VersionedStore:
             view = dict(entry[1])
         else:
             self.cache_misses += 1
-            if self.columnar:
-                view = self._col.snapshot_view(loop, max_iteration)
-            else:
-                view = {}
-                for key, chain in self._loops.get(loop, {}).items():
-                    self._settle(chain)
-                    found = chain.latest(max_iteration)
-                    if found is not None:
-                        view[key] = found[1]
+            view = {}
+            for key, chain in self._loops.get(loop, {}).items():
+                self._settle(chain)
+                found = chain.latest(max_iteration)
+                if found is not None:
+                    view[key] = found[1]
             for segment in self._segments.get(loop, ()):
                 if max_iteration is None:
                     view.update(zip(segment,
@@ -477,31 +397,11 @@ class VersionedStore:
             self.reads += walked
         return view
 
-    def snapshot_columns(self, loop: str, max_iteration: int | None = None,
-                         internal: bool = False):
-        """Array-native snapshot (columnar layout only): parallel
-        ``(keys, values)`` numpy columns in key-creation order, without
-        building a Python dict.  The bulk engine's read path.  Slabs
-        hold no segment, so a loop's segments fold in first."""
-        if not self.columnar:
-            raise StorageError("snapshot_columns requires columnar=True")
-        if loop in self._segments:
-            self._thaw(loop)
-        walked = self._col.key_count(loop)
-        if internal:
-            self.internal_reads += walked
-        else:
-            self.reads += walked
-        return self._col.snapshot_columns(loop, max_iteration)
-
     # ------------------------------------------------------------ lifecycle
     def drop_loop(self, loop: str) -> int:
         """Delete every version of a loop (branch-loop teardown)."""
-        if self.columnar:
-            count = self._col.drop_loop(loop)
-        else:
-            chains = self._loops.pop(loop, None)
-            count = len(chains) if chains is not None else 0
+        chains = self._loops.pop(loop, None)
+        count = len(chains) if chains is not None else 0
         for segment in self._segments.pop(loop, ()):
             count += len(segment)
         self._generation.pop(loop, None)
@@ -511,13 +411,10 @@ class VersionedStore:
 
     def truncate_before(self, loop: str, iteration: int) -> int:
         """Garbage-collect versions no snapshot at ≥ ``iteration`` can see."""
-        if self.columnar:
-            dropped = self._col.truncate_before(loop, iteration)
-        else:
-            dropped = 0
-            for chain in self._loops.get(loop, {}).values():
-                self._settle(chain)
-                dropped += chain.truncate_before(iteration)
+        dropped = 0
+        for chain in self._loops.get(loop, {}).values():
+            self._settle(chain)
+            dropped += chain.truncate_before(iteration)
         if dropped:
             self._bump(loop)
         return dropped
@@ -528,15 +425,12 @@ class VersionedStore:
         local store died with its process; the master's authoritative
         copy re-seeds it).  A housekeeping walk: counts as internal."""
         out: list[tuple[str, Any, int, Any]] = []
-        for loop in (self._col.loops() if self.columnar else self._loops):
-            if self.columnar:
-                out.extend(self._col.export_loop(loop))
-            else:
-                for key, chain in self._loops[loop].items():
-                    self._settle(chain)
-                    out.extend((loop, key, iteration, value)
-                               for iteration, value
-                               in zip(chain.iterations, chain.values))
+        for loop, chains in self._loops.items():
+            for key, chain in chains.items():
+                self._settle(chain)
+                out.extend((loop, key, iteration, value)
+                           for iteration, value
+                           in zip(chain.iterations, chain.values))
             for segment in self._segments.get(loop, ()):
                 out.extend((loop, key, iteration, value)
                            for key, (iteration, value) in segment.items())
@@ -546,28 +440,21 @@ class VersionedStore:
     def approx_bytes(self) -> int:
         """Deterministic footprint estimate for per-tenant store quotas.
 
-        The object layouts charge a flat ~96 bytes per version (key ref +
-        iteration + value ref + chain overhead), counting pending-log
+        A flat ~96 bytes per version (key ref + iteration + value ref +
+        chain overhead), segment entries included, counting pending-log
         entries without forcing a rebase, so probing the quota leaves the
-        store's rebase cadence untouched.  The columnar layout reports its
-        actual slab ``nbytes``.  Values are held by reference everywhere,
+        store's rebase cadence untouched.  Values are held by reference,
         so this intentionally ignores value payload sizes — the estimate
-        is stable across layouts and runs, which is what a quota check
-        needs more than physical precision.  Segment entries are dict
-        entries on either layout and count the flat 96 bytes each.
+        is stable across runs, which is what a quota check needs more
+        than physical precision.
         """
-        segmented = 96 * self._segmented()
-        if self.columnar:
-            return self._col.nbytes() + segmented
-        return segmented + 96 * sum(len(chain.iterations)
-                                    + len(chain.pending)
-                                    for chains in self._loops.values()
-                                    for chain in chains.values())
+        return 96 * (self._segmented()
+                     + sum(len(chain.iterations) + len(chain.pending)
+                           for chains in self._loops.values()
+                           for chain in chains.values()))
 
     def version_count(self, loop: str | None = None) -> int:
         total = self._segmented(loop)
-        if self.columnar:
-            return total + self._col.version_count(loop)
         if loop is None:
             loops = list(self._loops.values())
         else:

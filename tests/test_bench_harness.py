@@ -77,10 +77,9 @@ class TestQuickExperiments:
         assert "fig5-sssp" in experiments
         assert "skew" in experiments
         assert "live" in experiments
-        assert "scale" in experiments
         assert "tenants" in experiments
         assert "placement" in experiments
-        assert len(experiments) == 23
+        assert len(experiments) == 22
 
 
 class TestMergeBenchJson:
@@ -89,11 +88,11 @@ class TestMergeBenchJson:
 
     def test_section_write_preserves_siblings(self, tmp_path):
         path = str(tmp_path / "bench.json")
-        merge_bench_json(path, {"scale": {"speedup": 7.0}})
+        merge_bench_json(path, {"tenants": {"speedup": 7.0}})
         merge_bench_json(path, {"placement": {"speedup": 2.2}})
         with open(path, encoding="utf-8") as handle:
             data = json.load(handle)
-        assert data["scale"] == {"speedup": 7.0}
+        assert data["tenants"] == {"speedup": 7.0}
         assert data["placement"] == {"speedup": 2.2}
 
     def test_missing_or_corrupt_file_starts_clean(self, tmp_path):
@@ -111,17 +110,17 @@ class TestMergeBenchJson:
         provenance of earlier writers survives later ones."""
         path = str(tmp_path / "bench.json")
         merge_bench_json(path, {"bench": "someone", "quick": False,
-                                "scale": {"bench": "columnar_store"}})
+                                "tenants": {"bench": "tenants_zipf"}})
         payload = merge_bench_json(
             path, {"placement": {"bench": "placement", "speedup": 2.0}})
         assert payload["bench"] == "merged"
-        assert payload["sections"] == {"scale": "columnar_store",
+        assert payload["sections"] == {"tenants": "tenants_zipf",
                                        "placement": "placement"}
         assert payload["quick"] is False  # other top-level keys survive
 
     def test_output_is_deterministic(self, tmp_path):
         a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
-        merge_bench_json(a, {"scale": {"x": 1}, "delta": {"y": 2}})
-        merge_bench_json(b, {"delta": {"y": 2}, "scale": {"x": 1}})
+        merge_bench_json(a, {"tenants": {"x": 1}, "delta": {"y": 2}})
+        merge_bench_json(b, {"delta": {"y": 2}, "tenants": {"x": 1}})
         assert (open(a, encoding="utf-8").read()
                 == open(b, encoding="utf-8").read())

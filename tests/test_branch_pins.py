@@ -130,18 +130,18 @@ def _killed_mid_branch(bundle, full_activation: bool,
     return pins
 
 
-def sssp_always(**overrides) -> tuple[str, int, str]:
+def sssp_always() -> tuple[str, int, str]:
     return _streaming(sssp_bundle(SSSP_SCALE, delete_fraction=0.2,
                                   merge_policy="always",
                                   delay_bound=DELAY_BOUND,
-                                  trace_enabled=True, **overrides))
+                                  trace_enabled=True))
 
 
-def sssp_if_quiescent(**overrides) -> tuple[str, int, str]:
+def sssp_if_quiescent() -> tuple[str, int, str]:
     return _streaming(sssp_bundle(SSSP_SCALE, delete_fraction=0.2,
                                   merge_policy="if_quiescent",
                                   delay_bound=DELAY_BOUND,
-                                  trace_enabled=True, **overrides))
+                                  trace_enabled=True))
 
 
 def sssp_batch_always() -> tuple[str, int, str]:
@@ -243,15 +243,6 @@ PINS: dict[str, tuple[str, int, str]] = {
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_query_path_pin(case):
     assert CASES[case]() == PINS[case]
-
-
-@pytest.mark.parametrize("case", ["sssp_always", "sssp_if_quiescent"])
-def test_columnar_store_returns_the_pinned_results(case):
-    """The pins come from the object-chain store.  The columnar one must
-    return every branch result byte for byte and in the same order —
-    stopped branches included, whose published versions live outside
-    either layout — on the same virtual timeline."""
-    assert CASES[case](columnar=True) == PINS[case]
 
 
 if __name__ == "__main__":

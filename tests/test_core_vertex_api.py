@@ -104,6 +104,29 @@ class TestTornadoConfig:
         with pytest.raises(ConfigError):
             TornadoConfig(**kwargs)
 
+    @pytest.mark.parametrize("kwargs", [
+        # NaN/inf capacities read as NaN shares: the placer then packs
+        # every vertex onto one processor.
+        {"placement_node_capacity": (math.nan, 1.0)},
+        {"placement_node_capacity": (math.inf, 1.0)},
+        # A NaN factor or gap makes the trigger comparisons false for
+        # ever: rebalance_enabled=True would never fire.
+        {"rebalance_factor": math.nan},
+        {"rebalance_factor": math.inf},
+        {"rebalance_factor": 0.0},
+        {"rebalance_min_gap": math.nan},
+        {"rebalance_min_gap": math.inf},
+        {"rebalance_min_gap": -0.05},
+        {"rebalance_cooldown": math.nan},
+        {"rebalance_cooldown": -1.0},
+        # A NaN weight silently disables the criticality term.
+        {"migration_criticality_weight": math.nan},
+        {"migration_criticality_weight": math.inf},
+    ], ids=lambda kwargs: "{}={}".format(*next(iter(kwargs.items()))))
+    def test_non_finite_balancing_knobs_rejected(self, kwargs):
+        with pytest.raises(ConfigError):
+            TornadoConfig(n_processors=4, n_nodes=2, **kwargs)
+
     def test_config_error_is_typed_and_a_value_error(self):
         with pytest.raises(ConfigError) as caught:
             TornadoConfig(n_processors=0)

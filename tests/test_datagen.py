@@ -6,7 +6,7 @@ import pytest
 from repro.algorithms.sgd import LogisticLoss
 from repro.datagen import (connected_core, degree_histogram,
                            gaussian_mixture, higgs_like, livejournal_like,
-                           pubmed_like, rmat_edges, rmat_edges_fast)
+                           pubmed_like, rmat_edges)
 
 
 class TestGraphs:
@@ -48,61 +48,6 @@ class TestGraphs:
     def test_connected_core_filters(self):
         edges = [(0, 1), (1, 2), (5, 6)]
         assert connected_core(edges, 0) == [(0, 1), (1, 2)]
-
-
-class TestRmatFast:
-    """Vectorized R-MAT: seeded determinism including flag-independence
-    of the base random stream (satellite regression)."""
-
-    def test_deterministic_under_a_fixed_seed(self):
-        for flags in ({}, {"self_loops": True}, {"deduplicate": False},
-                      {"self_loops": True, "deduplicate": False}):
-            a = rmat_edges_fast(64, 300, np.random.default_rng(1), **flags)
-            b = rmat_edges_fast(64, 300, np.random.default_rng(1), **flags)
-            assert (a[0] == b[0]).all() and (a[1] == b[1]).all()
-
-    def test_size_bounds_and_filters(self):
-        src, dst = rmat_edges_fast(100, 300, np.random.default_rng(0))
-        assert len(src) == len(dst) == 300
-        assert src.dtype == dst.dtype == np.int64
-        assert ((0 <= src) & (src < 100)).all()
-        assert ((0 <= dst) & (dst < 100)).all()
-        assert (src != dst).all()
-        pairs = set(zip(src.tolist(), dst.tolist()))
-        assert len(pairs) == 300
-
-    def test_flags_filter_the_same_base_stream(self):
-        """Toggling ``self_loops`` / ``deduplicate`` must change which
-        candidates survive, never which numbers are drawn.  With both
-        filters off the first batch survives whole, so it *is* the raw
-        candidate stream; the filtered run's leading edges must equal a
-        manual filter over exactly those candidates."""
-        n, m, seed = 64, 300, 7
-        raw_src, raw_dst = rmat_edges_fast(
-            n, m, np.random.default_rng(seed),
-            self_loops=True, deduplicate=False)
-        expected = []
-        seen = set()
-        for u, v in zip(raw_src.tolist(), raw_dst.tolist()):
-            if u == v or (u, v) in seen:
-                continue
-            seen.add((u, v))
-            expected.append((u, v))
-        src, dst = rmat_edges_fast(n, m, np.random.default_rng(seed))
-        got = list(zip(src.tolist(), dst.tolist()))[:len(expected)]
-        assert got == expected
-
-    def test_degree_skew_preserved(self):
-        src, _dst = rmat_edges_fast(256, 2000, np.random.default_rng(0))
-        counts = np.bincount(src, minlength=256)
-        assert counts.max() > 4 * (2000 / 256)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            rmat_edges_fast(1, 10, np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            rmat_edges_fast(10, 10, np.random.default_rng(0),
-                            a=0.5, b=0.5, c=0.2)
 
 
 class TestPoints:

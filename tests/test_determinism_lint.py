@@ -44,26 +44,29 @@ RULES = [
      "global numpy RNG state", None, ()),
     (re.compile(r"default_rng\(\s*\)"),
      "unseeded Generator; pass an explicit seed", None, ()),
-    # The columnar dependency boundary: the scalar runtime and the wire
-    # format must stay importable (and unpicklable) without numpy; only
-    # the columnar modules may bind it at import time.  Function-level
-    # (indented, lazy) imports behind the TornadoConfig.columnar gate
-    # are the sanctioned escape hatch.
+    # The numpy boundary: the runtime and the wire format stay
+    # importable (and unpicklable) without numpy.  Programs bring numpy
+    # with their own values; a runtime module that needs it for one
+    # helper imports it inside that function.
     (re.compile(r"^(import numpy\b|from numpy\b)", re.MULTILINE),
-     "module-top-level numpy import inside the scalar runtime; import "
-     "lazily behind the columnar gate instead",
-     ("core", "storage", "live"), ("columnar.py",)),
+     "module-top-level numpy import: repro.core, repro.storage and "
+     "repro.live never import numpy at module top level",
+     ("core", "storage", "live"), ()),
 ]
 
 
 #: Wire-path modules that must never import numpy at all — not even
 #: lazily.  The ColumnBatch vocabulary and its pack/unpack stages stage
-#: plain tuples precisely so the runtime's own framing never needs the
-#: columnar dependency (the values inside a column are whatever the
-#: program scatters); a lazy import here is how an ndarray column would
-#: sneak into a pickled frame unnoticed.
+#: plain tuples precisely so the runtime's own framing never needs numpy
+#: (the values inside a column are whatever the program scatters); a
+#: lazy import here is how an ndarray column would sneak into a pickled
+#: frame unnoticed.
 NUMPY_FREE_FILES = ("core/messages.py", "core/processor.py",
                     "live/wire.py")
+#: Packages that must never import numpy at all.  The versioned store
+#: has one layout, per-key chains of plain objects; an array-backed
+#: store comes back only as its sole layout, with an edit here.
+NUMPY_FREE_PACKAGES = ("storage",)
 NUMPY_IMPORT = re.compile(r"^\s*(import\s+numpy\b|from\s+numpy\b)",
                           re.MULTILINE)
 
@@ -86,6 +89,18 @@ def violations():
                 line = text.count("\n", 0, match.start()) + 1
                 found.append(f"{path.relative_to(SRC)}:{line}: "
                              f"{match.group(0).strip()!r} — {why}")
+    return found
+
+
+def numpy_imports(paths):
+    """Every numpy import statement, top-level or lazy, in ``paths``."""
+    found = []
+    for path in paths:
+        text = path.read_text()
+        for match in NUMPY_IMPORT.finditer(text):
+            line = text.count("\n", 0, match.start()) + 1
+            found.append(f"{path.relative_to(SRC)}:{line}: "
+                         f"{match.group(0).strip()!r}")
     return found
 
 
@@ -116,13 +131,15 @@ class TestWireStaysNumpyFree:
         """Stricter than the top-level-import rule: the ColumnBatch
         vocabulary and its pack/unpack seams may not import numpy even
         lazily — column runs are plain tuples end to end."""
-        found = []
-        for rel in NUMPY_FREE_FILES:
-            text = (SRC / rel).read_text()
-            for match in NUMPY_IMPORT.finditer(text):
-                line = text.count("\n", 0, match.start()) + 1
-                found.append(f"{rel}:{line}: {match.group(0).strip()!r}")
+        found = numpy_imports(SRC / rel for rel in NUMPY_FREE_FILES)
         assert not found, "numpy on the wire path:\n" + "\n".join(found)
+
+    def test_storage_never_imports_numpy(self):
+        paths = [path for package in NUMPY_FREE_PACKAGES
+                 for path in sorted((SRC / package).rglob("*.py"))]
+        assert paths
+        found = numpy_imports(paths)
+        assert not found, "numpy in the store:\n" + "\n".join(found)
 
     def test_wire_lint_actually_bites(self):
         assert NUMPY_IMPORT.search("import numpy as np\n")

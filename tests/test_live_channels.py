@@ -311,7 +311,7 @@ class TestSoundness:
         handle = job._handle_item
 
         def watch(item):
-            if isinstance(item, StoreWrite) and (item.entries or item.slabs):
+            if isinstance(item, StoreWrite) and item.entries:
                 late.append(item)
             handle(item)
 

@@ -31,7 +31,7 @@ TINY = replace(SMALL, n_vertices=80, n_edges=320, stream_rate=4000.0)
 FIG8D_PIN = (
     "d492e5bbd9356daeb7fe9968a1be88bad8eca16391680a1d1e7be60c836e0c20",
     7920,
-    "5e8f942910c5ccdbff4fd3c41ca22894f1c7d5df85e1fc631bb21130bafe9fe5")
+    "b682459e94e2d840de253c19ed2b633f76865571b5aef069863a4fb33d9a03b6")
 
 
 def _fig8d_style_run(seed: int) -> TornadoJob:

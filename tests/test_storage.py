@@ -1,7 +1,7 @@
 """Unit + property tests for the versioned store, backends, checkpoints."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import StorageError
@@ -11,22 +11,12 @@ from repro.storage import (CheckpointManifest, DiskBackend, InMemoryBackend,
 from repro.storage.versioned import REBASE_INTERVAL
 
 
-LAYOUTS = {
-    "delta": dict(columnar=False),
-    "columnar": dict(columnar=True),
-}
-
-
-def make_store(layout: str, **overrides) -> VersionedStore:
-    return VersionedStore(**{**LAYOUTS[layout], **overrides})
-
-
-@pytest.fixture(params=list(LAYOUTS), ids=list(LAYOUTS))
-def store(request):
-    """Every store contract test runs against both layouts: the object
-    chains (indexed, rebased, cached) and the numpy-slab columnar
-    engine."""
-    return make_store(request.param)
+@pytest.fixture(params=["delta"])
+def store():
+    """A fresh store: per-key chains that absorb writes into a pending
+    delta log (hence the id), indexed per loop, with the snapshot
+    cache."""
+    return VersionedStore()
 
 
 class TestVersionedStore:
@@ -106,26 +96,24 @@ class TestVersionedStore:
                     min_size=1, max_size=40))
     def test_property_latest_below_bound(self, puts):
         """get(max_iteration=b) always returns the value with the largest
-        iteration ≤ b, regardless of put order — in every layout."""
-        for layout in LAYOUTS:
-            store = make_store(layout)
-            reference = {}
-            for iteration, value in puts:
-                store.put("main", "k", iteration, value)
-                reference[iteration] = value
-            for bound in range(22):
-                eligible = [i for i in reference if i <= bound]
-                found = store.get_version("main", "k", max_iteration=bound)
-                if eligible:
-                    assert found == (max(eligible),
-                                     reference[max(eligible)])
-                else:
-                    assert found is None
+        iteration ≤ b, regardless of put order."""
+        store = VersionedStore()
+        reference = {}
+        for iteration, value in puts:
+            store.put("main", "k", iteration, value)
+            reference[iteration] = value
+        for bound in range(22):
+            eligible = [i for i in reference if i <= bound]
+            found = store.get_version("main", "k", max_iteration=bound)
+            if eligible:
+                assert found == (max(eligible), reference[max(eligible)])
+            else:
+                assert found is None
 
 
 class TestIndexedStore:
     """Per-loop index, batched I/O accounting and the generation-checked
-    snapshot cache, on both layouts."""
+    snapshot cache."""
 
     def test_put_many_get_many_roundtrip_and_accounting(self, store):
         written = store.put_many("main", [("a", 1, 10), ("b", 2, 20),
@@ -211,8 +199,8 @@ _TRIPLE = st.tuples(st.sampled_from(_SEGMENT_KEYS), st.integers(0, 9),
                     st.integers(0, 99))
 
 
-def _assert_reads_agree(layout: str, model: VersionedStore,
-                        store: VersionedStore, bounds: list[int]) -> None:
+def _assert_reads_agree(model: VersionedStore, store: VersionedStore,
+                        bounds: list[int]) -> None:
     """Every read path, on every loop, answers alike on both stores —
     dict orders and read charges included."""
     probe = _SEGMENT_KEYS + ["ghost"]
@@ -234,11 +222,7 @@ def _assert_reads_agree(layout: str, model: VersionedStore,
             assert store.contains(loop, key) == (key in model.keys(loop))
     assert store.export_versions() == model.export_versions()
     assert store.version_count() == model.version_count()
-    if layout == "delta":
-        # The columnar layout reports physical slab bytes, which depend
-        # on its rebase history; a segment entry counts the object
-        # layout's flat per-version figure on both.
-        assert store.approx_bytes() == model.approx_bytes()
+    assert store.approx_bytes() == model.approx_bytes()
     assert (store.puts, store.reads, store.internal_reads,
             store.cache_hits, store.cache_misses) \
         == (model.puts, model.reads, model.internal_reads,
@@ -250,7 +234,6 @@ class TestSegments:
     ``put_many``'d into a twin store, minus the keys the loop already
     has (the earlier write wins)."""
 
-    @pytest.mark.parametrize("layout", list(LAYOUTS))
     @given(main=st.lists(_TRIPLE, max_size=6),
            chains=st.lists(_TRIPLE, max_size=6),
            segments=st.lists(st.lists(_TRIPLE, max_size=6), min_size=1,
@@ -258,10 +241,9 @@ class TestSegments:
            main_first=st.booleans(),
            late=st.lists(_TRIPLE, max_size=3),
            bounds=st.lists(st.integers(-1, 10), max_size=3))
-    def test_a_segment_reads_as_put_many(self, layout, main, chains,
-                                         segments, main_first, late,
-                                         bounds):
-        model, store = make_store(layout), make_store(layout)
+    def test_a_segment_reads_as_put_many(self, main, chains, segments,
+                                         main_first, late, bounds):
+        model, store = VersionedStore(), VersionedStore()
         if main_first:
             for twin in (model, store):
                 twin.put_many("main", main)
@@ -277,23 +259,23 @@ class TestSegments:
             has.update(segment)
             assert store.put_segment("branch", segment) \
                 == model.put_many("branch", fresh) == len(fresh)
-            _assert_reads_agree(layout, model, store, bounds)
+            _assert_reads_agree(model, store, bounds)
         if not main_first:
             for twin in (model, store):
                 twin.put_many("main", main)
-        _assert_reads_agree(layout, model, store, bounds)
+        _assert_reads_agree(model, store, bounds)
         # An ordinary write after the segments joins them as if they
         # had been put_many'd: same versions, same key order.
         for key, iteration, value in late:
             for twin in (model, store):
                 twin.put("branch", key, iteration, value)
-            _assert_reads_agree(layout, model, store, bounds)
+            _assert_reads_agree(model, store, bounds)
         for bound in bounds:
             assert store.truncate_before("branch", bound) \
                 == model.truncate_before("branch", bound)
-        _assert_reads_agree(layout, model, store, bounds)
+        _assert_reads_agree(model, store, bounds)
         assert store.drop_loop("branch") == model.drop_loop("branch")
-        _assert_reads_agree(layout, model, store, bounds)
+        _assert_reads_agree(model, store, bounds)
 
     def test_the_store_keeps_the_segment_by_reference(self, store):
         entry = (3, ("value", frozenset()))
@@ -314,7 +296,7 @@ class TestSegments:
 
 
 class TestDeltaStore:
-    """Object-chain-only behavior: the per-chain pending-log rebase."""
+    """The per-chain pending-log rebase and the store's knobs."""
 
     def test_pending_log_rebases_on_interval_and_reads(self):
         store = VersionedStore()
@@ -362,128 +344,130 @@ class TestDeltaStore:
             VersionedStore(snapshot_cache_size=0)
 
 
-class TestColumnarStore:
-    """Columnar-only behavior: slab rebases and the dense-id fast path."""
+_LOOP = st.sampled_from(["main", "branch"])
+_BOUND = st.one_of(st.none(), st.integers(0, 10))
+_MODEL_OPS = st.lists(st.one_of(
+    st.tuples(st.sampled_from(["put", "put_if_newer"]), _LOOP, _TRIPLE),
+    st.tuples(st.sampled_from(["put_many", "put_segment"]), _LOOP,
+              st.lists(_TRIPLE, max_size=5)),
+    st.tuples(st.just("get_version"), _LOOP,
+              st.sampled_from(_SEGMENT_KEYS + ["ghost"]), _BOUND),
+    st.tuples(st.just("snapshot"), _LOOP, _BOUND),
+    st.tuples(st.just("truncate_before"), _LOOP, st.integers(0, 10)),
+    st.tuples(st.just("drop_loop"), _LOOP),
+), min_size=1, max_size=40)
 
-    def test_slab_rebases_on_interval(self):
-        store = VersionedStore(columnar=True, rebase_interval=4)
-        for iteration in range(4):
-            store.put("main", "k", iteration, iteration)
-        assert store.rebases == 1         # pending log hit the interval
-        store.put("main", "k", 9, 90)
-        assert store.rebases == 1
-        assert store.get("main", "k") == 90   # read-triggered settle
-        assert store.rebases == 2
 
-    def test_put_columns_scalar_iteration_and_arrays(self):
-        store = VersionedStore(columnar=True)
-        assert store.put_columns("main", [0, 1, 2], 3,
-                                 [1.5, 2.5, 3.5]) == 3
-        assert store.put_columns("main", [1, 2], [4, 5], ["x", "y"]) == 2
-        assert store.puts == 5
-        assert store.snapshot("main") == {0: 1.5, 1: "x", 2: "y"}
-        assert store.get_version("main", 2, max_iteration=4) == (3, 3.5)
+class ReferenceStore:
+    """The store's specification as plain dicts: ``{loop: {key:
+    {iteration: value}}}``, loops and keys in first-write order."""
 
-    def test_put_columns_keeps_python_key_and_value_types(self):
-        """Keys/values must come back as the exact Python objects that
-        went in — numpy scalars leaking out would poison canonical
-        digests downstream."""
-        store = VersionedStore(columnar=True)
-        store.put_columns("main", ["s", "a"], 0, [(1.0, ("x",)), None])
-        view = store.snapshot("main")
-        assert list(view) == ["s", "a"]
-        assert all(type(key) is str for key in view)
-        assert view["s"] == (1.0, ("x",))
-        assert view["a"] is None
+    def __init__(self) -> None:
+        self.loops: dict = {}
 
-    def test_snapshot_columns_round_trip(self):
-        store = VersionedStore(columnar=True)
-        store.put_columns("main", [0, 1, 2], 0, [5.0, 6.0, 7.0])
-        store.put_columns("main", [1], 1, [60.0])
-        keys, values = store.snapshot_columns("main")
-        assert keys.tolist() == [0, 1, 2]
-        assert values.tolist() == [5.0, 60.0, 7.0]
-        keys_at0, values_at0 = store.snapshot_columns("main",
-                                                      max_iteration=0)
-        assert values_at0.tolist() == [5.0, 6.0, 7.0]
-        with pytest.raises(StorageError):
-            VersionedStore().snapshot_columns("main")
+    def put(self, loop, key, iteration, value) -> None:
+        self.loops.setdefault(loop, {}).setdefault(key, {})[iteration] \
+            = value
 
-    def test_iteration_overflow_rejected(self):
-        store = VersionedStore(columnar=True)
-        with pytest.raises(StorageError):
-            store.put("main", "k", 1 << 33, "v")
+    def latest(self, loop, key, bound):
+        """The newest version at an iteration ≤ ``bound``."""
+        versions = self.loops.get(loop, {}).get(key, {})
+        eligible = [i for i in versions if bound is None or i <= bound]
+        if not eligible:
+            return None
+        return max(eligible), versions[max(eligible)]
 
-    @given(st.lists(st.tuples(st.sampled_from(["a", "b", "c"]),
-                              st.integers(0, 12), st.integers(0, 99)),
-                    min_size=1, max_size=30),
-           st.integers(0, 13))
-    def test_layouts_agree_on_any_workload(self, puts, bound):
-        chains, columnar = make_store("delta"), make_store("columnar")
-        for key, iteration, value in puts:
-            for store in (chains, columnar):
-                store.put("main", key, iteration, value)
-        assert chains.snapshot("main", max_iteration=bound) \
-            == columnar.snapshot("main", max_iteration=bound)
-        assert chains.version_count("main") \
-            == columnar.version_count("main")
-        for store in (chains, columnar):
-            store.truncate_before("main", bound)
-        assert chains.snapshot("main") == columnar.snapshot("main")
+    def put_if_newer(self, loop, key, iteration, value) -> bool:
+        versions = self.loops.get(loop, {}).get(key, {})
+        if versions and max(versions) >= iteration:
+            return False
+        self.put(loop, key, iteration, value)
+        return True
 
-    @given(st.lists(
-        st.one_of(
-            st.tuples(st.just("put"), st.sampled_from(["a", "b", "c", "d"]),
-                      st.integers(0, 15), st.integers(0, 99)),
-            st.tuples(st.just("put_many"),
-                      st.lists(st.tuples(
-                          st.sampled_from(["a", "b", "c", "d"]),
-                          st.integers(0, 15), st.integers(0, 99)),
-                          max_size=5)),
-            st.tuples(st.just("put_if_newer"),
-                      st.sampled_from(["a", "b", "c", "d"]),
-                      st.integers(0, 15), st.integers(0, 99)),
-            st.tuples(st.just("get"), st.sampled_from(["a", "b", "z"]),
-                      st.integers(0, 16)),
-            st.tuples(st.just("snapshot"), st.integers(0, 16)),
-            st.tuples(st.just("truncate"), st.integers(0, 16)),
-            st.tuples(st.just("drop"),
-                      st.sampled_from(["main", "branch"])),
-        ), min_size=1, max_size=40))
-    def test_columnar_equals_object_chains(self, ops):
-        """Model-based equivalence with the object-chain layout as the
-        model: any interleaving of writes, conditional writes, point
-        reads, snapshots, GC and loop drops observes identical results
-        on both layouts."""
-        model = make_store("delta")
-        columnar = make_store("columnar")
-        for op in ops:
-            kind = op[0]
+    def put_segment(self, loop, segment) -> int:
+        """One version per key the loop does not have yet."""
+        fresh = [(key, iteration, value)
+                 for key, (iteration, value) in segment.items()
+                 if key not in self.loops.get(loop, {})]
+        for triple in fresh:
+            self.put(loop, *triple)
+        return len(fresh)
+
+    def snapshot(self, loop, bound):
+        view = {}
+        for key in self.loops.get(loop, {}):
+            found = self.latest(loop, key, bound)
+            if found is not None:
+                view[key] = found[1]
+        return view
+
+    def truncate_before(self, loop, iteration) -> int:
+        """Keep, per key, the newest version ≤ ``iteration`` and every
+        newer one."""
+        dropped = 0
+        for key, versions in self.loops.get(loop, {}).items():
+            found = self.latest(loop, key, iteration)
+            for old in [i for i in versions if found and i < found[0]]:
+                del versions[old]
+                dropped += 1
+        return dropped
+
+    def drop_loop(self, loop) -> int:
+        return len(self.loops.pop(loop, {}))
+
+    def export_versions(self):
+        return [(loop, key, iteration, versions[iteration])
+                for loop, keys in self.loops.items()
+                for key, versions in keys.items()
+                for iteration in sorted(versions)]
+
+
+class TestReferenceModel:
+    """The store against :class:`ReferenceStore`, its independent
+    oracle: any interleaving of writes (plain, batched, conditional,
+    write-once segments), point reads, snapshots, GC and loop drops over
+    two loops returns what the model returns."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_MODEL_OPS)
+    def test_every_op_matches_the_reference_model(self, ops):
+        store, model = VersionedStore(), ReferenceStore()
+        for kind, loop, *args in ops:
             if kind == "put":
-                _, key, iteration, value = op
-                model.put("main", key, iteration, value)
-                columnar.put("main", key, iteration, value)
-            elif kind == "put_many":
-                model.put_many("main", op[1])
-                columnar.put_many("main", op[1])
+                store.put(loop, *args[0])
+                model.put(loop, *args[0])
             elif kind == "put_if_newer":
-                _, key, iteration, value = op
-                assert model.put_if_newer("main", key, iteration, value) \
-                    == columnar.put_if_newer("main", key, iteration, value)
-            elif kind == "get":
-                _, key, bound = op
-                assert model.get_version("main", key, bound) \
-                    == columnar.get_version("main", key, bound)
+                assert store.put_if_newer(loop, *args[0]) \
+                    == model.put_if_newer(loop, *args[0])
+            elif kind == "put_many":
+                assert store.put_many(loop, args[0]) == len(args[0])
+                for triple in args[0]:
+                    model.put(loop, *triple)
+            elif kind == "put_segment":
+                segment = {key: (iteration, value)
+                           for key, iteration, value in args[0]}
+                assert store.put_segment(loop, dict(segment)) \
+                    == model.put_segment(loop, segment)
+            elif kind == "get_version":
+                assert store.get_version(loop, *args) \
+                    == model.latest(loop, *args)
             elif kind == "snapshot":
-                assert model.snapshot("main", max_iteration=op[1]) \
-                    == columnar.snapshot("main", max_iteration=op[1])
-            elif kind == "truncate":
-                assert model.truncate_before("main", op[1]) \
-                    == columnar.truncate_before("main", op[1])
-            elif kind == "drop":
-                assert model.drop_loop(op[1]) == columnar.drop_loop(op[1])
-        assert model.snapshot("main") == columnar.snapshot("main")
-        assert model.version_count() == columnar.version_count()
+                assert list(store.snapshot(loop, args[0]).items()) \
+                    == list(model.snapshot(loop, args[0]).items())
+            elif kind == "truncate_before":
+                assert store.truncate_before(loop, args[0]) \
+                    == model.truncate_before(loop, args[0])
+            else:
+                assert store.drop_loop(loop) == model.drop_loop(loop)
+            for key in _SEGMENT_KEYS:
+                for bound in (None, 0, 3, 6, 9):
+                    assert store.get_version(loop, key, bound) \
+                        == model.latest(loop, key, bound)
+        for loop in ("main", "branch"):
+            assert store.keys(loop) == list(model.loops.get(loop, {}))
+            assert store.version_count(loop) == sum(
+                map(len, model.loops.get(loop, {}).values()))
+        assert store.export_versions() == model.export_versions()
 
 
 class TestBackends:
