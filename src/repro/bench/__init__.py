@@ -10,7 +10,6 @@ from repro.bench.fig8 import run_failure_figure, run_fig8b
 from repro.bench.fig9 import run_fig9
 from repro.bench.harness import ExperimentResult, ShapeCheck, percentile
 from repro.bench.live import run_live_bench
-from repro.bench.placement import run_placement
 from repro.bench.skew import run_skew
 from repro.bench.table1 import run_table1
 from repro.bench.table2 import run_fig8a, run_table2
@@ -43,7 +42,6 @@ __all__ = [
     "run_fig8b",
     "run_fig9",
     "run_live_bench",
-    "run_placement",
     "run_skew",
     "run_table1",
     "run_table2",

@@ -7,15 +7,11 @@ Usage::
     python -m repro.bench fig5 table2     # a subset
     python -m repro.bench --trace fig8c   # record + print protocol phases
     python -m repro.bench skew            # planted hot-key skew: live
-                                          # migration vs stop-the-world
+                                          # migration vs no rebalancing
     python -m repro.bench live            # multiprocessing backend scaling
                                           # (merges into BENCH_perf.json)
     python -m repro.bench tenants --quick # zipf multi-tenant JobManager
                                           # (merges into BENCH_perf.json)
-    python -m repro.bench placement       # resource-aware placement A/B +
-                                          # critical-path bottleneck oracle
-                                          # (merges into BENCH_perf.json;
-                                          # add --check-baseline in CI)
 """
 
 from __future__ import annotations
@@ -29,13 +25,12 @@ from repro.bench import (MEDIUM, SMALL, run_ablation_activation,
                          run_failure_figure, run_fig5, run_fig6a,
                          run_fig6b, run_fig7a, run_fig7b, run_fig8a,
                          run_fig8b, run_fig9, run_live_bench,
-                         run_placement, run_skew, run_table1, run_table2,
-                         run_table3, run_tenants)
+                         run_skew, run_table1, run_table2, run_table3,
+                         run_tenants)
 from repro.bench.harness import ExperimentResult
 
 
-def _experiments(scale, trace: bool = False, quick: bool = False,
-                 check_baseline: bool = False
+def _experiments(scale, trace: bool = False, quick: bool = False
                  ) -> dict[str, Callable[[], ExperimentResult]]:
     return {
         "table1": lambda: run_table1(scale),
@@ -62,8 +57,6 @@ def _experiments(scale, trace: bool = False, quick: bool = False,
         # when asked for by name (see main below): unlike the rest they
         # measure the host machine, not the simulated cluster.
         "live": lambda: run_live_bench(quick=quick),
-        "placement": lambda: run_placement(
-            quick=quick, check_baseline=check_baseline),
         "tenants": lambda: run_tenants(quick=quick),
     }
 
@@ -72,13 +65,10 @@ def main(argv: list[str]) -> int:
     scale = MEDIUM if "--medium" in argv else SMALL
     trace = "--trace" in argv
     quick = "--quick" in argv
-    check_baseline = "--check-baseline" in argv
     wanted = [a for a in argv if not a.startswith("-")]
-    experiments = _experiments(scale, trace=trace, quick=quick,
-                               check_baseline=check_baseline)
+    experiments = _experiments(scale, trace=trace, quick=quick)
     if not wanted:
         experiments.pop("live")
-        experiments.pop("placement")
         experiments.pop("tenants")
     if wanted:
         unknown = [w for w in wanted

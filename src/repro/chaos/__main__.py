@@ -12,7 +12,7 @@ import argparse
 import sys
 
 from repro.chaos.campaign import (default_workloads,
-                                  master_kill_mid_rebalance_outcome,
+                                  master_kill_mid_migration_outcome,
                                   run_campaign)
 
 WORKLOADS = ("sssp", "pagerank", "migration", "storm", "tenants")
@@ -52,15 +52,15 @@ def main(argv: list[str] | None = None) -> int:
                           out_dir=args.out,
                           shrink_failures=not args.no_shrink)
 
-    # Deterministic regression: master killed after PauseIngest, before
-    # the stop-the-world rebalance — the durable rebalance_pending
-    # marker must get ingest moving again.
-    rebalance_kill = master_kill_mid_rebalance_outcome(
+    # Deterministic regression: master killed the instant a live
+    # migration is cut — the durable migration record must re-drive the
+    # in-flight handoff.
+    migration_kill = master_kill_mid_migration_outcome(
         args.planted_restart_skew)
-    report.outcomes.append(rebalance_kill)
-    print(f"[rebalance-pause] master kill mid-rebalance "
-          f"{'ok' if rebalance_kill.passed else 'FAIL'}")
-    for result in rebalance_kill.failures():
+    report.outcomes.append(migration_kill)
+    print(f"[migration] master kill mid-migration "
+          f"{'ok' if migration_kill.passed else 'FAIL'}")
+    for result in migration_kill.failures():
         print(f"    {result.line()}")
 
     total = len(report.outcomes)

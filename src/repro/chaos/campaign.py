@@ -101,19 +101,17 @@ class TornadoWorkload:
     golden_atol = 0.0
     reference_atol = 0.0
     storage_backend = "disk"
-    #: ``"live"``/``"pause"`` turn the rebalancer on; ``None`` leaves it
-    #: off.  With :attr:`plant_hot_spot`, every vertex starts on proc-0
-    #: so each run migrates for real while the faults land.
-    rebalance_mode: str | None = None
+    #: Turn the live migrator on.  With :attr:`plant_hot_spot`, every
+    #: vertex starts on proc-0 so each run migrates for real while the
+    #: faults land.
+    rebalance: bool = False
     plant_hot_spot = False
 
     # ------------------------------------------------------------ build
     def build(self) -> TornadoJob:
-        rebalance = {}
-        if self.rebalance_mode is not None:
-            rebalance = dict(rebalance_enabled=True,
-                             rebalance_mode=self.rebalance_mode,
-                             rebalance_factor=1.5,
+        balancing = {}
+        if self.rebalance:
+            balancing = dict(rebalance_enabled=True, rebalance_factor=1.5,
                              rebalance_min_gap=0.005,
                              rebalance_cooldown=0.1)
         config = TornadoConfig(
@@ -126,7 +124,7 @@ class TornadoWorkload:
             merge_policy="never",
             trace_enabled=True,
             trace_capacity=200_000,
-            **rebalance,
+            **balancing,
         )
         job = TornadoJob(self.application(), config)
         job.manifest.planted_restart_skew = self.planted_restart_skew
@@ -249,7 +247,7 @@ class MigrationWorkload(SSSPWorkload):
     the exact-recovery oracles also judge the migration protocol
     (epoch fencing, buffered-gather replay, crash re-drives)."""
 
-    rebalance_mode = "live"
+    rebalance = True
     plant_hot_spot = True
 
     def __init__(self, **kwargs) -> None:
@@ -257,27 +255,18 @@ class MigrationWorkload(SSSPWorkload):
         self.name = "migration"
 
 
-def master_kill_mid_rebalance_outcome(
+def master_kill_mid_migration_outcome(
         planted_restart_skew: int = 0) -> ChaosOutcome:
-    """The deterministic regression schedule for the durable
-    ``rebalance_pending`` marker: probe a fault-free pause-mode run for
-    the instant ingest pauses (virtual time is replayable, so the probe
-    is exact), then kill the master at precisely that moment — after
-    ``PauseIngest``, before the rebalance — and judge the run with the
-    usual oracles."""
-
-    class PauseRebalanceWorkload(SSSPWorkload):
-        rebalance_mode = "pause"
-        plant_hot_spot = True
-
-        def __init__(self, **kwargs) -> None:
-            super().__init__(**kwargs)
-            self.name = "rebalance-pause"
-
-    workload = PauseRebalanceWorkload(
-        planted_restart_skew=planted_restart_skew)
+    """The deterministic regression schedule for the durable migration
+    record: probe a fault-free :class:`MigrationWorkload` run for the
+    instant a migration is cut (virtual time is replayable, so the probe
+    is exact), then kill the master at precisely that moment — moves in
+    flight, no adoption confirmed — and judge the run with the usual
+    oracles."""
+    workload = MigrationWorkload(planted_restart_skew=planted_restart_skew)
     probe = workload.build()
-    probe.run_until(lambda: probe.ingester.paused, max_events=2_000_000)
+    probe.run_until(lambda: probe.durable.migration is not None,
+                    max_events=2_000_000)
     kill_at = probe.sim.now
     schedule = ChaosSchedule(seed=0, faults=[
         FaultSpec(kind="kill", start=kill_at, duration=0.2,
@@ -353,8 +342,8 @@ class MultiTenantWorkload:
             retransmit_timeout=0.1, storage_backend="disk",
             delay_bound=65536, merge_policy="never", trace_enabled=True,
             trace_capacity=200_000, rebalance_enabled=True,
-            rebalance_mode="live", rebalance_factor=1.5,
-            rebalance_min_gap=0.005, rebalance_cooldown=0.1)
+            rebalance_factor=1.5, rebalance_min_gap=0.005,
+            rebalance_cooldown=0.1)
         return TenantSpec(
             tenant="chaotic", app_factory=self._application,
             config=config, quota=TenantQuota(max_processors=3),

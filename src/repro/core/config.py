@@ -97,11 +97,6 @@ class TornadoConfig:
     storage_backend: str = "disk"
     disk_seek_cost: float = 1.5e-3
     disk_record_cost: float = 2e-6
-    #: Pending-log length that triggers a store rebase on write.
-    store_rebase_interval: int = 16
-    #: Distinct ``(loop, bound)`` snapshot views kept by the store's LRU
-    #: snapshot cache.
-    store_snapshot_cache_size: int = 32
 
     # ------------------------------------------------------------- control
     #: How often processors report progress to the master.
@@ -125,38 +120,18 @@ class TornadoConfig:
     #: direction of paper §8).
     branch_admission: str = "queue"
 
-    # ----------------------------------------------------------- placement
-    #: Submission-time vertex placement.  "round_robin" (the default) is
-    #: the paper's layout: vertices hash onto processors, processors map
-    #: onto nodes round-robin — byte-identical to the pre-placement
-    #: runtime.  "resource_aware" runs the R-Storm-style packer
-    #: (:mod:`repro.core.placement`) over the first fed stream: demand
-    #: vectors (declared by the program or profiled from the stream) are
-    #: packed onto processors to minimise network-distance-weighted
-    #: traffic under capacity constraints, and the resulting pins are
-    #: applied to the partition scheme before ingestion starts.
-    placement: str = "round_robin"
-    #: Relative capacity per node (cycled over nodes; empty = uniform).
-    #: ``(2.0, 1.0)`` makes even nodes twice as capacious as odd ones —
-    #: the heterogeneous-cluster knob for the placement benchmark.
-    placement_node_capacity: tuple = ()
-
     # ----------------------------------------------------------- balancing
     #: Enable the master's load rebalancer (paper §5.1): when processor
-    #: busy times skew beyond ``rebalance_factor``, ingestion is paused,
-    #: the hottest vertices are reassigned at quiescence, and the
-    #: computation resumes from the last terminated iteration.
+    #: busy rates skew beyond ``rebalance_factor``, the live migrator
+    #: (:mod:`repro.core.migration`) moves batches of the costliest
+    #: vertices off the hot processors while the main loop keeps running
+    #: (epoch-fenced handoff, no ingest pause).
     rebalance_enabled: bool = False
     rebalance_factor: float = 3.0
     #: Minimum absolute busy-time gap (seconds) before rebalancing.
     rebalance_min_gap: float = 0.05
     #: Minimum virtual time between two rebalances.
     rebalance_cooldown: float = 1.0
-    #: "live": migrate vertex batches while the main loop keeps running
-    #: (epoch-fenced handoff, no ingest pause).  "pause": the legacy
-    #: stop-the-world rebalancer (pause ingest, wait for quiescence, move
-    #: the hottest vertices) — kept as the A/B baseline.
-    rebalance_mode: str = "live"
     #: Most vertices a single live-migration plan may move.
     migration_max_batch: int = 16
     #: Weight of the critical-path feedback term in the migration
@@ -167,9 +142,6 @@ class TornadoConfig:
     #: default) disables the term — byte-identical planning either way
     #: until scores are actually applied.
     migration_criticality_weight: float = 0.0
-    #: How many ``(vertex, weight)`` load pairs each progress report
-    #: carries for the planner.
-    migration_report_top_k: int = 8
 
     # ------------------------------------------------------- observability
     #: Enable the flight recorder (repro.obs.TraceRecorder).  Off by
@@ -190,6 +162,8 @@ class TornadoConfig:
             raise ConfigError(f"unknown execution backend: {self.backend!r}")
         if self.n_processors < 1:
             raise ConfigError("n_processors must be >= 1")
+        if self.n_nodes < 1:
+            raise ConfigError("n_nodes must be >= 1")
         if self.delay_bound < 1:
             raise ConfigError("delay_bound must be >= 1")
         # Timers reschedule themselves after these intervals: zero would
@@ -209,10 +183,6 @@ class TornadoConfig:
         if self.backend == "live" and self.rebalance_enabled:
             raise ConfigError(
                 "backend='live' does not support the rebalancer yet")
-        if self.store_rebase_interval < 1:
-            raise ConfigError("store_rebase_interval must be >= 1")
-        if self.store_snapshot_cache_size < 1:
-            raise ConfigError("store_snapshot_cache_size must be >= 1")
         if self.merge_policy not in ("if_quiescent", "always", "never"):
             raise ConfigError(f"unknown merge policy: {self.merge_policy!r}")
         if self.main_loop_mode not in ("approximate", "batch"):
@@ -222,18 +192,9 @@ class TornadoConfig:
                 f"unknown admission policy: {self.branch_admission!r}")
         if self.max_concurrent_branches < 1:
             raise ConfigError("max_concurrent_branches must be >= 1")
-        if self.rebalance_mode not in ("live", "pause"):
-            raise ConfigError(
-                f"unknown rebalance mode: {self.rebalance_mode!r}")
-        if self.placement not in ("round_robin", "resource_aware"):
-            raise ConfigError(
-                f"unknown placement policy: {self.placement!r}")
-        # NaN and infinity pass a plain ``< 0`` check but poison the
-        # placer's capacity shares and make the rebalancer's trigger
-        # comparisons false for ever: reject them here, loudly.
-        if not all(c > 0 and math.isfinite(c)
-                   for c in self.placement_node_capacity):
-            raise ConfigError("node capacities must be positive and finite")
+        # NaN and infinity pass a plain ``< 0`` check but make the
+        # rebalancer's trigger comparisons false for ever: reject them
+        # here, loudly.
         if not (self.rebalance_factor > 0
                 and math.isfinite(self.rebalance_factor)):
             raise ConfigError("rebalance_factor must be > 0 and finite")
@@ -244,7 +205,5 @@ class TornadoConfig:
                 raise ConfigError(f"{name} must be >= 0 and finite")
         if self.migration_max_batch < 1:
             raise ConfigError("migration_max_batch must be >= 1")
-        if self.migration_report_top_k < 1:
-            raise ConfigError("migration_report_top_k must be >= 1")
         if self.trace_capacity < 1:
             raise ConfigError("trace_capacity must be >= 1")

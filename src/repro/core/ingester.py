@@ -11,9 +11,8 @@ from typing import Any, Iterable
 
 from repro.core.config import TornadoConfig
 from repro.errors import BackpressureError
-from repro.core.messages import (MAIN_LOOP, BranchDone, PauseIngest,
-                                 PeerRecovered, QueryRejected, QueryRequest,
-                                 ResumeIngest, VertexInput)
+from repro.core.messages import (MAIN_LOOP, BranchDone, PeerRecovered,
+                                 QueryRejected, QueryRequest, VertexInput)
 from repro.core.partition import PartitionScheme
 from repro.core.transport import ReliableEndpoint
 from repro.core.vertex import Application
@@ -42,10 +41,6 @@ class Ingester(Actor):
         self.tuples_scheduled = 0
         self.inputs_routed = 0
         self.inputs_replayed = 0
-        self.paused = False
-        #: Times ingest was paused (the live migrator must keep this 0).
-        self.pauses = 0
-        self._held: list[StreamTuple] = []
         self.rejections: dict[int, QueryRejected] = {}
         # Every routed input, in order.  A processor crash rolls its
         # vertices back to the last checkpoint; inputs it acknowledged
@@ -60,8 +55,7 @@ class Ingester(Actor):
     # -------------------------------------------------------------- feeding
     def pending_inputs(self) -> int:
         """Stream tuples scheduled for delivery but not yet ingested (the
-        per-tenant backpressure signal; held tuples during an ingest pause
-        still count as pending)."""
+        per-tenant backpressure signal)."""
         return self.tuples_scheduled - self.tuples_ingested
 
     def schedule_stream(self, tuples: Iterable[StreamTuple],
@@ -118,24 +112,9 @@ class Ingester(Actor):
         if isinstance(payload, QueryRejected):
             self.rejections[payload.query_id] = payload
             return self.config.control_cost
-        if isinstance(payload, PauseIngest):
-            if not self.paused:
-                self.pauses += 1
-            self.paused = True
-            return self.config.control_cost
-        if isinstance(payload, ResumeIngest):
-            self.paused = False
-            held, self._held = self._held, []
-            cost = self.config.control_cost
-            for tup in held:
-                cost += self._ingest(tup)
-            return cost
         if isinstance(payload, PeerRecovered):
             return self._replay_inputs(payload.processor)
         if isinstance(payload, tuple) and payload[0] == "ingest":
-            if self.paused:
-                self._held.append(payload[1])
-                return self.config.control_cost
             return self._ingest(payload[1])
         return self.config.control_cost
 

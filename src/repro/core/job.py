@@ -101,16 +101,7 @@ class TornadoJob:
             capacity=self.config.net_capacity,
         )
         self.network.trace_links = self.config.trace_links
-        #: Submission-time placement plan (set by the first ``feed`` when
-        #: ``config.placement == "resource_aware"``; None otherwise).
-        self.placement_plan = None
-        #: Critical-path link scores carried over from a previous run of
-        #: the same workload (see :meth:`set_link_scores`) — refines the
-        #: resource-aware plan on re-submission.
-        self._link_scores: dict[tuple[str, str], float] | None = None
-        self.store = VersionedStore(
-            rebase_interval=self.config.store_rebase_interval,
-            snapshot_cache_size=self.config.store_snapshot_cache_size)
+        self.store = VersionedStore()
         self.manifest = CheckpointManifest()
         self.durable = MasterDurableState()
         self.failures = FailureInjector(self.sim, network=self.network)
@@ -159,37 +150,8 @@ class TornadoJob:
 
     # -------------------------------------------------------------- feeding
     def feed(self, tuples: Iterable[StreamTuple]) -> int:
-        """Schedule stream tuples for ingestion at their timestamps.
-
-        Under ``config.placement == "resource_aware"`` the first feed is
-        also the profiling pre-run: the tuples are routed through the
-        application once to estimate per-vertex demand vectors, the
-        R-Storm packer (:mod:`repro.core.placement`) pins the resulting
-        plan onto the partition scheme, and only then is the stream
-        scheduled for ingestion.
-        """
-        if (self.config.placement == "resource_aware"
-                and self.placement_plan is None):
-            from repro.core.placement import plan_for_stream
-            tuples = list(tuples)
-            plan = plan_for_stream(self.app, self.config, self.partition,
-                                   tuples, link_scores=self._link_scores)
-            plan.apply(self.partition)
-            self.placement_plan = plan
+        """Schedule stream tuples for ingestion at their timestamps."""
         return self.ingester.schedule_stream(tuples)
-
-    def set_link_scores(self,
-                        link_scores: dict[tuple[str, str], float]) -> None:
-        """Carry a previous run's critical-path link scores
-        (:meth:`repro.obs.critical_path.CriticalPathReport.link_scores`)
-        into this job's resource-aware placement: pairs of vertices whose
-        processor link dominated the old critical path get their affinity
-        boosted, so the new plan packs them together.  Must be called
-        before the first :meth:`feed`."""
-        if self.placement_plan is not None:
-            raise ValueError("placement already planned; set link scores "
-                             "before the first feed")
-        self._link_scores = dict(link_scores)
 
     # -------------------------------------------------------------- running
     def run(self, until: float | None = None) -> float:

@@ -16,12 +16,10 @@ from typing import Any
 from repro.core.config import TornadoConfig
 from repro.core.messages import (MAIN_LOOP, BranchDone, ForkBranch,
                                  IterationTerminated, MergeBranch,
-                                 MigrateDone, MigrateState,
-                                 PauseIngest, PeerRecovered,
-                                 ProcessorRecovered,
-                                 ProgressReport, QueryRejected,
-                                 QueryRequest, RecoverLoops, Repartition,
-                                 ResumeIngest, StopLoop, branch_name)
+                                 MigrateDone, MigrateState, PeerRecovered,
+                                 ProcessorRecovered, ProgressReport,
+                                 QueryRejected, QueryRequest, RecoverLoops,
+                                 Repartition, StopLoop, branch_name)
 from repro.core.migration import MigrationPlanner
 from repro.core.partition import PartitionScheme
 from repro.core.progress import ProgressTracker
@@ -70,9 +68,6 @@ class MasterDurableState:
     seen_queries: set[int] = field(default_factory=set)
     #: In-flight live migration (None when the layout is settled).
     migration: MigrationRecord | None = None
-    #: True between PauseIngest and the stop-the-world rebalance: a
-    #: recovered master must send ResumeIngest or ingest stalls forever.
-    rebalance_pending: bool = False
 
 
 class Master(Actor):
@@ -99,8 +94,6 @@ class Master(Actor):
         self.termination_times: dict[str, list[tuple[int, float]]] = {}
         # ------------------------------------------------ load balancing
         self._busy: dict[str, float] = {}
-        self._hot: dict[str, tuple] = {}
-        self._rebalance_waiting = False
         self._last_rebalance = float("-inf")
         self.rebalances = 0
         self.planner = MigrationPlanner(config)
@@ -159,76 +152,16 @@ class Master(Actor):
             self._finish_branch(record, tracker)
         if report.loop == MAIN_LOOP:
             self._busy[report.processor] = report.busy_time
-            if report.hot_vertices:
-                self._hot[report.processor] = report.hot_vertices
             self.planner.observe(report.processor, report.busy_time,
                                  self.sim.now, report.vertex_load)
             self._maybe_rebalance()
         return self.config.master_cost
 
-    # ---------------------------------------------------- load balancing
-    def _maybe_rebalance(self) -> None:
-        if not self.config.rebalance_enabled or self.partition is None:
-            return
-        if self.config.rebalance_mode == "live":
-            self._maybe_migrate()
-            return
-        if self._rebalance_waiting:
-            # Waiting for the main loop to quiesce before moving state.
-            if self.trackers[MAIN_LOOP].converged:
-                self._perform_rebalance()
-            return
-        if self.sim.now - self._last_rebalance < \
-                self.config.rebalance_cooldown:
-            return
-        if any(not record.done
-               for record in self.durable.branches.values()):
-            return  # never move vertices under live branch loops
-        if self._busy_gap_exceeded():
-            self._rebalance_waiting = True
-            # Durable marker: a master crash between here and the
-            # rebalance must not leave the ingester paused forever.
-            self.durable.rebalance_pending = True
-            self.transport.send(self.ingester_name, PauseIngest())
-
-    def _busy_gap_exceeded(self) -> bool:
-        if len(self._busy) < len(self.processors):
-            return False
-        hottest = max(self._busy.values())
-        coldest = min(self._busy.values())
-        return (hottest - coldest > self.config.rebalance_min_gap
-                and hottest > self.config.rebalance_factor
-                * max(coldest, 1e-9))
-
-    def _perform_rebalance(self) -> None:
-        self._rebalance_waiting = False
-        self.durable.rebalance_pending = False
-        self._last_rebalance = self.sim.now
-        # Re-validate on the stats as of *now*: the snapshot that armed
-        # the pause may be stale after the quiesce wait (e.g. a processor
-        # crashed meanwhile and its counters were invalidated).
-        moves: tuple = ()
-        if self._busy_gap_exceeded():
-            hot_processor = max(self._busy, key=self._busy.get)
-            cold_processor = min(self._busy, key=self._busy.get)
-            moves = tuple(
-                (vertex, hot_processor, cold_processor)
-                for vertex in self._hot.get(hot_processor, ())
-                if self.partition.owner(vertex) == hot_processor)
-        if moves:
-            self.partition.reassign_batch(
-                [(vertex, target) for vertex, _source, target in moves])
-            self.rebalances += 1
-            self.sim.metrics.counter("core.rebalances").inc()
-            if self.sim.trace.enabled:
-                self.sim.trace.record(self.sim.now, "loop", "rebalance",
-                                      actor=self.name,
-                                      moves=len(moves),
-                                      epoch=self.partition.epoch)
-            self._broadcast(Repartition(self.partition.epoch, moves))
-        self.transport.send(self.ingester_name, ResumeIngest())
-
     # ---------------------------------------------------- live migration
+    def _maybe_rebalance(self) -> None:
+        if self.config.rebalance_enabled and self.partition is not None:
+            self._maybe_migrate()
+
     def _maybe_migrate(self) -> None:
         if self.durable.migration is not None:
             return  # one migration in flight at a time
@@ -394,10 +327,9 @@ class Master(Actor):
                                   processor=msg.processor)
         for tracker in self.trackers.values():
             tracker.forget_all()
-        # Its busy counter restarted and its hot set is gone: stale load
-        # snapshots must not drive the next rebalance decision.
+        # Its busy counter restarted: stale load snapshots must not drive
+        # the next rebalance decision.
         self._busy.pop(msg.processor, None)
-        self._hot.pop(msg.processor, None)
         self.planner.forget(msg.processor)
         loops = [(MAIN_LOOP, self.manifest.restart_iteration(MAIN_LOOP))]
         for loop, record in self.durable.branches.items():
@@ -470,11 +402,9 @@ class Master(Actor):
     def on_failure(self) -> None:
         self.transport.clear()
         self.trackers = {}
-        # Load stats and the pause-mode state machine are in-memory only;
-        # a restarted master restarts the observation window from scratch.
-        self._rebalance_waiting = False
+        # Load stats are in-memory only; a restarted master restarts the
+        # observation window from scratch.
         self._busy = {}
-        self._hot = {}
         self.planner = MigrationPlanner(self.config)
 
     def on_recover(self) -> None:
@@ -488,12 +418,6 @@ class Master(Actor):
             last = self.manifest.restart_iteration(loop)
             if last >= 0:
                 self._broadcast(IterationTerminated(loop, last))
-        if self.durable.rebalance_pending:
-            # Crashed between PauseIngest and the rebalance itself: the
-            # pause state machine died with us, so unblock ingest.
-            self.durable.rebalance_pending = False
-            self._rebalance_waiting = False
-            self.transport.send(self.ingester_name, ResumeIngest())
         migration = self.durable.migration
         if migration is not None:
             # Re-drive the in-flight handoff: the notice is idempotent on

@@ -137,8 +137,6 @@ class ProgressReport:
     inputs_gathered: int = 0
     #: Cumulative busy time of the processor (load monitoring, §5.1).
     busy_time: float = 0.0
-    #: The processor's currently hottest vertices (by recent commits).
-    hot_vertices: tuple = ()
     #: Session messages this processor has sent but not yet seen
     #: acknowledged (snapshot taken before the report is enqueued).  Zero
     #: everywhere + idle watermarks + empty delay buffers = quiescence.
@@ -213,16 +211,6 @@ class BranchDone:
     query_id: int
     converged_iteration: int
     issued_at: float
-
-
-@dataclass(frozen=True, slots=True)
-class PauseIngest:
-    """Master -> ingester: hold new inputs while repartitioning."""
-
-
-@dataclass(frozen=True, slots=True)
-class ResumeIngest:
-    """Master -> ingester: repartitioning done, release held inputs."""
 
 
 @dataclass(frozen=True, slots=True)

@@ -36,6 +36,10 @@ from repro.simulator import Actor, Network, Simulator
 from repro.storage import (CheckpointManifest, StorageBackend,
                            VersionedStore)
 
+#: How many ``(vertex, weight)`` load pairs each main-loop progress
+#: report carries for the migration planner.
+MIGRATION_REPORT_TOP_K = 8
+
 
 class LoopState:
     """Everything a processor keeps for one loop."""
@@ -76,8 +80,6 @@ class LoopState:
         self.forked = False
         # Vertices touched (input or commit) since the last branch fork.
         self.changed_since_fork: set[Any] = set()
-        # Per-vertex commits since the last progress report (load stats).
-        self.recent_commit_counts: dict[Any, int] = {}
         # Per-vertex gathers (inputs + updates) since the last report:
         # the migration planner's message-volume signal.
         self.recent_gather_counts: dict[Any, int] = {}
@@ -939,8 +941,6 @@ class Processor(Actor):
                                iteration=iteration)
         if loop.is_main:
             loop.changed_since_fork.add(vertex_id)
-            loop.recent_commit_counts[vertex_id] = (
-                loop.recent_commit_counts.get(vertex_id, 0) + 1)
         ctx = VertexContext(state, loop.name, iteration)
         self.app.program.scatter(ctx)
         emitted = ctx.take_emitted()
@@ -1273,7 +1273,6 @@ class Processor(Actor):
                 self._unshare(main, vertex_id)
             state = main.vertices.pop(vertex_id, None)
             main.protocols.pop(vertex_id, None)
-            main.recent_commit_counts.pop(vertex_id, None)
             main.recent_gather_counts.pop(vertex_id, None)
             active = False
             if state is not None:
@@ -1419,20 +1418,13 @@ class Processor(Actor):
         total_pending = 0
         for loop in self.loops.values():
             self._report_seq += 1
-            hot: tuple = ()
             vertex_load: tuple = ()
             unacked, buffered = self._loop_evidence(loop)
-            if loop.is_main and loop.recent_commit_counts:
-                ranked = sorted(loop.recent_commit_counts,
-                                key=loop.recent_commit_counts.get,
-                                reverse=True)
-                hot = tuple(ranked[:3])
-                loop.recent_commit_counts = {}
             if loop.is_main and loop.recent_gather_counts:
                 counts = loop.recent_gather_counts
                 ranked = sorted(counts,
                                 key=lambda v: (-counts[v], str(v)))
-                top = ranked[:self.config.migration_report_top_k]
+                top = ranked[:MIGRATION_REPORT_TOP_K]
                 vertex_load = tuple((v, counts[v]) for v in top)
                 loop.recent_gather_counts = {}
             snapshots.append(ProgressReport(
@@ -1443,7 +1435,6 @@ class Processor(Actor):
                 watermark=loop.watermark(),
                 inputs_gathered=loop.inputs_gathered,
                 busy_time=self.busy_time,
-                hot_vertices=hot,
                 unacked=unacked,
                 buffered=buffered,
                 vertex_load=vertex_load,

@@ -135,9 +135,7 @@ class LiveJob(TornadoJob):
         #: Simulator alias so inherited helpers (``trace``, ``metrics``)
         #: resolve against the live kernel.
         self.sim = self.kernel
-        self.store = VersionedStore(
-            rebase_interval=self.config.store_rebase_interval,
-            snapshot_cache_size=self.config.store_snapshot_cache_size)
+        self.store = VersionedStore()
         self.manifest = CheckpointManifest()
         self.durable = MasterDurableState()
         self._worker_names = [f"proc-{i}"

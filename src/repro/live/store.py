@@ -28,10 +28,8 @@ from repro.storage.versioned import VersionedStore
 class WorkerStore(VersionedStore):
     """A VersionedStore that journals every write for shipping."""
 
-    def __init__(self, rebase_interval: int | None = None,
-                 snapshot_cache_size: int | None = None) -> None:
-        super().__init__(rebase_interval=rebase_interval,
-                         snapshot_cache_size=snapshot_cache_size)
+    def __init__(self) -> None:
+        super().__init__()
         self._journal: list[tuple[str, Any, int, Any]] = []
         self._recording = True
 

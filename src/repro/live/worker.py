@@ -141,9 +141,7 @@ def worker_main(spec: WorkerSpec, inbound: Any, outbound: Any,
         net = WorkerNet(kernel, spec.name, outbound, inbound,
                         peers_in, peers_out)
         partition = PartitionScheme(list(spec.worker_names))
-        store = WorkerStore(
-            rebase_interval=config.store_rebase_interval,
-            snapshot_cache_size=config.store_snapshot_cache_size)
+        store = WorkerStore()
         backend = LiveBackend(store, net, spec.name)
         processor = Processor(kernel, spec.name, config, spec.app,
                               partition, store, backend, net, MASTER_NAME,

@@ -30,7 +30,7 @@ per-window weight can never exceed the window span by construction.
 Transient paths aggregate into criticality scores: the fraction of total
 critical-path time spent in each phase (:meth:`CriticalPathReport.
 phase_scores`), on each inter-processor link (:meth:`~CriticalPathReport.
-link_scores` — the placement refiner's input) and on each actor
+link_scores` — which network hops dominate) and on each actor
 (:meth:`~CriticalPathReport.processor_scores` — the migration planner's
 input via :meth:`repro.core.master.Master.apply_criticality`).
 """
@@ -121,8 +121,7 @@ class CriticalPathReport:
 
     def link_scores(self) -> dict[tuple[str, str], float]:
         """Fraction of critical-path time in flight per ``(src, dst)``
-        link — the input to placement refinement
-        (:func:`repro.core.placement.refine_affinity`)."""
+        link."""
         return self._scores("link",
                             lambda seg: tuple(seg.label.split("->", 1)))
 

@@ -45,12 +45,10 @@ from typing import Any, Iterable
 from repro.errors import StorageError
 
 #: Default pending-log length that triggers a rebase on write; per-store
-#: override via ``rebase_interval`` /
-#: :attr:`TornadoConfig.store_rebase_interval`.
+#: override via ``rebase_interval``.
 REBASE_INTERVAL = 16
 #: Default number of distinct ``(loop, bound)`` snapshot views kept by
-#: the LRU cache; override via ``snapshot_cache_size`` /
-#: :attr:`TornadoConfig.store_snapshot_cache_size`.
+#: the LRU cache; override via ``snapshot_cache_size``.
 SNAPSHOT_CACHE_SIZE = 32
 
 

@@ -78,8 +78,7 @@ class TestQuickExperiments:
         assert "skew" in experiments
         assert "live" in experiments
         assert "tenants" in experiments
-        assert "placement" in experiments
-        assert len(experiments) == 22
+        assert len(experiments) == 21
 
 
 class TestMergeBenchJson:
@@ -89,11 +88,11 @@ class TestMergeBenchJson:
     def test_section_write_preserves_siblings(self, tmp_path):
         path = str(tmp_path / "bench.json")
         merge_bench_json(path, {"tenants": {"speedup": 7.0}})
-        merge_bench_json(path, {"placement": {"speedup": 2.2}})
+        merge_bench_json(path, {"live": {"speedup": 2.2}})
         with open(path, encoding="utf-8") as handle:
             data = json.load(handle)
         assert data["tenants"] == {"speedup": 7.0}
-        assert data["placement"] == {"speedup": 2.2}
+        assert data["live"] == {"speedup": 2.2}
 
     def test_missing_or_corrupt_file_starts_clean(self, tmp_path):
         path = str(tmp_path / "bench.json")
@@ -112,10 +111,10 @@ class TestMergeBenchJson:
         merge_bench_json(path, {"bench": "someone", "quick": False,
                                 "tenants": {"bench": "tenants_zipf"}})
         payload = merge_bench_json(
-            path, {"placement": {"bench": "placement", "speedup": 2.0}})
+            path, {"live": {"bench": "live", "speedup": 2.0}})
         assert payload["bench"] == "merged"
         assert payload["sections"] == {"tenants": "tenants_zipf",
-                                       "placement": "placement"}
+                                       "live": "live"}
         assert payload["quick"] is False  # other top-level keys survive
 
     def test_output_is_deterministic(self, tmp_path):

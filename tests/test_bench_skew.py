@@ -10,9 +10,9 @@ def test_skew_section_shape_at_small_size():
     assert set(section["modes"]) == set(MODES)
     for mode, run in section["modes"].items():
         assert run["exact"], mode
-    assert section["live_over_pause"] >= 2.0
+    assert section["live_over_none"] >= 1.5
     live = section["modes"]["live"]
-    assert live["pauses"] == 0 and live["rebalances"] >= 1
+    assert live["rebalances"] >= 1
     assert live["owners"] > 1
     digests = section["determinism"]["digests"]
     assert section["determinism"]["identical"]

@@ -4,8 +4,8 @@ from repro.algorithms.graph_common import EdgeStreamRouter
 from repro.algorithms.sssp import SSSPProgram
 from repro.core import Application, TornadoConfig
 from repro.core.ingester import Ingester
-from repro.core.messages import (BranchDone, PauseIngest, QueryRejected,
-                                 QueryRequest, ResumeIngest, VertexInput)
+from repro.core.messages import (BranchDone, QueryRejected, QueryRequest,
+                                 VertexInput)
 from repro.core.partition import PartitionScheme
 from repro.core.transport import ReliableEndpoint
 from repro.simulator import Actor, Network, Simulator
@@ -60,19 +60,6 @@ class TestIngestion:
         assert count == 1
         sim.run(until=6.0)
         assert len(processor.of_type(VertexInput)) == 1
-
-    def test_pause_holds_and_resume_releases(self):
-        sim, ingester, _master, processor = make_ingester()
-        ingester.deliver(PauseIngest(), "master")
-        ingester.schedule_stream(edge_stream([("a", "b"), ("b", "c")],
-                                             UniformRate(rate=100.0)))
-        sim.run(until=1.0)
-        assert processor.of_type(VertexInput) == []
-        assert ingester.tuples_ingested == 0
-        ingester.deliver(ResumeIngest(), "master")
-        sim.run(until=2.0)
-        assert len(processor.of_type(VertexInput)) == 2
-        assert ingester.tuples_ingested == 2
 
 
 class TestQueries:

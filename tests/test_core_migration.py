@@ -21,7 +21,6 @@ def make_job(skewed=True, **config_kwargs):
     config_kwargs.setdefault("report_interval", 0.01)
     config_kwargs.setdefault("storage_backend", "memory")
     config_kwargs.setdefault("rebalance_enabled", True)
-    config_kwargs.setdefault("rebalance_mode", "live")
     config_kwargs.setdefault("rebalance_factor", 1.5)
     config_kwargs.setdefault("rebalance_min_gap", 0.001)
     config_kwargs.setdefault("rebalance_cooldown", 0.2)
@@ -52,7 +51,6 @@ class TestLiveMigration:
         job.run_for(4.0)
         assert job.master.rebalances >= 1
         # The whole point of live migration: ingest never stops.
-        assert job.ingester.pauses == 0
         assert job.ingester.tuples_ingested == len(stream)
         owners = {job.partition.owner(v) for v in range(30)}
         assert owners != {"proc-0"}
@@ -164,66 +162,18 @@ class TestMigrationUnderFailures:
         assert distances(job.main_values()) == reference()
 
 
-class TestPauseModeBugfixes:
-    def test_master_crash_mid_rebalance_resumes_ingest(self):
-        """Master dies after PauseIngest but before the rebalance: the
-        recovered master must release the ingester (the pending marker is
-        durable), or ingest stalls forever."""
-        job = make_job(rebalance_mode="pause")
-        stream = edge_stream(EDGES, UniformRate(rate=300.0))
-        job.feed(stream)
-        job.run_until(lambda: job.ingester.paused,
-                      max_events=20_000_000)
-        assert job.durable.rebalance_pending
-        job.failures.kill_now("master", recover_after=0.2)
-        job.run_for(4.0)
-        assert not job.ingester.paused
-        assert not job.durable.rebalance_pending
-        # Held tuples were released, none lost.
-        assert job.ingester.tuples_ingested == len(stream)
-
-    def test_pause_mode_still_rebalances(self):
-        job = make_job(rebalance_mode="pause")
-        job.feed(edge_stream(EDGES, UniformRate(rate=300.0)))
-        job.run_for(4.0)
-        assert job.master.rebalances >= 1
-        assert job.ingester.pauses >= 1
-        owners = {job.partition.owner(v) for v in range(30)}
-        assert owners != {"proc-0"}
-        approx = distances(job.main_values())
-        assert approx == reference()
-
+class TestRecoveryDropsLoadStats:
     def test_recovered_processor_stats_invalidated(self):
-        """A crashed-and-recovered processor's busy/hot snapshots are
-        stale (its counters restarted); the master must drop them."""
+        """A crashed-and-recovered processor's busy snapshots are stale
+        (its counters restarted); the master must drop them."""
         job = make_job()
         job.feed(edge_stream(EDGES, UniformRate(rate=300.0)))
-        job.run_until(lambda: "proc-0" in job.master._busy
-                      and "proc-0" in job.master._hot,
+        job.run_until(lambda: "proc-0" in job.master._busy,
                       max_events=20_000_000)
         job.master._handle_processor_recovered(
             ProcessorRecovered("proc-0"))
         assert "proc-0" not in job.master._busy
-        assert "proc-0" not in job.master._hot
         assert "proc-0" not in job.master.planner._busy_rate
-
-    def test_perform_rebalance_revalidates_gap(self):
-        """If the gap no longer holds at perform time, no move happens —
-        but ingest is always resumed."""
-        job = make_job(rebalance_mode="pause")
-        master = job.master
-        master._rebalance_waiting = True
-        job.durable.rebalance_pending = True
-        master._busy = {"proc-0": 1.0, "proc-1": 1.0, "proc-2": 1.0}
-        master._hot = {"proc-0": (1, 2, 3)}
-        before = job.partition.epoch
-        master._perform_rebalance()
-        assert master.rebalances == 0
-        assert job.partition.epoch == before
-        assert not job.durable.rebalance_pending
-        # ResumeIngest went out regardless.
-        job.run_for(0.1)
-        assert not job.ingester.paused
 
 
 class TestPlannerBugfixes:

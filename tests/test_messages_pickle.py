@@ -27,10 +27,9 @@ from repro.core.lamport import Timestamp
 from repro.core.messages import (Acknowledge, BranchDone, ColumnBatch,
                                  Envelope, ForkBranch, IterationTerminated,
                                  MergeBranch, MigrateDone, MigrateState,
-                                 PauseIngest, PeerRecovered, Prepare,
-                                 ProcessorRecovered, ProgressReport,
-                                 QueryRejected, QueryRequest, RecoverLoops,
-                                 ReleasedUpdate, Repartition, ResumeIngest,
+                                 PeerRecovered, Prepare, ProcessorRecovered,
+                                 ProgressReport, QueryRejected, QueryRequest,
+                                 RecoverLoops, ReleasedUpdate, Repartition,
                                  StopLoop, TransportAck, Unreliable,
                                  VertexInput, VertexUpdate)
 from repro.live import wire as wire_mod
@@ -61,7 +60,7 @@ VOCABULARY = [
     ProgressReport("main", "proc-0", 3,
                    {0: (1, 2, 2), 1: (4, 5, 5)}, float("inf"),
                    inputs_gathered=7, busy_time=0.25,
-                   hot_vertices=("u", "v"), unacked=0, buffered=0,
+                   unacked=0, buffered=0,
                    vertex_load=(("u", 3.0),)),
     IterationTerminated("main", 5),
     ForkBranch("branch-1", 6, 2, full_activation=True),
@@ -70,8 +69,6 @@ VOCABULARY = [
     QueryRequest(1, 0.5, full_activation=False),
     QueryRejected(2, 0.6, "admission: too many branches"),
     BranchDone("branch-1", 1, 9, 0.5),
-    PauseIngest(),
-    ResumeIngest(),
     Repartition(2, (("u", "proc-0", "proc-1"),)),
     MigrateState(2, (("u", True), ("v", False))),
     MigrateDone(2, ("u", "v")),

@@ -389,7 +389,7 @@ def _processor_state(proc):
             loop.prepares_recorded, loop.highest_commit,
             loop.buffered_updates, loop.released_pairs,
             loop.buffered_inputs, loop.recent_gather_counts,
-            loop.recent_commit_counts, loop.changed_since_fork)
+            loop.changed_since_fork)
     return (loops, proc._orphans, list(proc.transport._outbox.values()),
             proc.total_updates_gathered, proc.total_commits,
             proc.total_prepares)
