@@ -17,7 +17,6 @@ from repro.core.jobmanager import (JobManager, ProcessorPool, TenantRecord,
                                    TenantSpec, run_solo)
 from repro.core.lamport import LamportClock, Timestamp
 from repro.core.master import BranchRecord, Master, MasterDurableState
-from repro.core.metrics import RateSample, RateSampler
 from repro.core.messages import MAIN_LOOP, branch_name
 from repro.core.partition import PartitionScheme
 from repro.core.processor import LoopState, Processor
@@ -53,8 +52,6 @@ __all__ = [
     "ProgressTracker",
     "QueryResult",
     "ScheduledQuery",
-    "RateSample",
-    "RateSampler",
     "ReliableEndpoint",
     "SendAck",
     "SendPrepare",

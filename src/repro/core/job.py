@@ -9,7 +9,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
@@ -19,6 +18,7 @@ from repro.core.master import BranchRecord, Master, MasterDurableState
 from repro.core.messages import MAIN_LOOP
 from repro.core.partition import PartitionScheme
 from repro.core.processor import Processor
+from repro.core.progress import passive
 from repro.core.vertex import Application
 from repro.errors import QueryError
 from repro.obs import MetricsRegistry, TraceRecorder
@@ -330,9 +330,12 @@ class TornadoJob:
         return removed
 
     def quiescent(self) -> bool:
-        """The main loop is idle everywhere: no pending vertex work, no
-        unacknowledged session message, no delay-buffered update, no
-        vertex handoff in flight."""
+        """The main loop is idle everywhere: no input on its way from the
+        ingester, every processor :func:`~repro.core.progress.passive` on
+        the main loop as it stands now (not as last reported), no vertex
+        handoff in flight."""
+        if self.ingester.transport.unacked:
+            return False
         if self.durable.migration is not None:
             return False
         if self.partition.migrating_count():
@@ -343,12 +346,7 @@ class TornadoJob:
             if processor.transport.pending_by_tag.get("migration", 0):
                 return False
             main = processor.loops.get(MAIN_LOOP)
-            if main is None:
-                continue
-            if not math.isinf(main.watermark()):
-                return False
-            if processor.transport.pending_by_tag.get(MAIN_LOOP, 0):
-                return False
-            if main.buffered_updates:
+            if main is not None and not passive(
+                    main.watermark(), *processor._loop_evidence(main)):
                 return False
         return True

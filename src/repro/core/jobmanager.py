@@ -387,10 +387,10 @@ class JobManager:
             self._finish(record)
 
     def _grant_live_window(self, record: TenantRecord) -> None:
-        # ``LiveJob.converged`` is exact (channel counts, no timed
+        # ``LiveJob.quiescent()`` is exact (channel counts, no timed
         # confirmations): the first slice that reads it true is the end.
         record.job.pump_slice(passes=self.live_passes)
-        if record.job.converged:
+        if record.job.quiescent():
             self._finish(record)
 
     # ------------------------------------------------------------ quotas

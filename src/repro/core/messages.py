@@ -147,6 +147,12 @@ class ProgressReport:
     #: Top-K ``(vertex, weight)`` gather-volume pairs since the last
     #: report — the migration planner's per-vertex cost signal (§5.1).
     vertex_load: tuple = ()
+    #: ``(sent, received)`` payload frames per channel, taken with the
+    #: rest of this report: ``((dst, n), …)`` put on each open channel
+    #: out, ``((src, n), …)`` taken from each one in.  None where the
+    #: fabric keeps no counts (the simulator) or frames were still
+    #: unhandled when the report was taken.
+    channels: tuple | None = None
 
 
 @dataclass(frozen=True, slots=True)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from typing import Any
+from typing import Any, Callable
 
 from repro.core.config import TornadoConfig
 from repro.core.lamport import LamportClock
@@ -173,6 +173,10 @@ class Processor(Actor):
         self._work_since_report = True
         # The reports of the latest flush (what the master was told).
         self._last_reports: list[ProgressReport] = []
+        #: ``() -> tuple | None``: the fabric's channel counts, stamped on
+        #: every report (``ProgressReport.channels``).  The live worker
+        #: installs its fabric's; the simulated fabric keeps none.
+        self.channel_counts: Callable[[], tuple | None] = lambda: None
         self.total_commits = 0
         self.total_updates_gathered = 0
         self.total_prepares = 0
@@ -1356,11 +1360,6 @@ class Processor(Actor):
                     or self._migration_buffer)
 
     # ---------------------------------------------------------- reporting
-    @property
-    def report_seq(self) -> int:
-        """``seq`` of the last progress report issued (0 before any)."""
-        return self._report_seq
-
     def _report_tick(self) -> None:
         if not self._report_timer_running or self.down:
             return
@@ -1381,15 +1380,18 @@ class Processor(Actor):
         that empties ``pending_by_tag`` changes the evidence the
         convergence predicate reads without passing ``_dispatch``, so
         neither ``on_idle`` nor anything short of the next report tick
-        would tell the master.  Watermarks and counters only move inside
-        ``_dispatch``, which sets ``_work_since_report`` — the flag
-        covers them, the comparison covers the transport."""
+        would tell the master.  Nor would channel counts that moved
+        without a dispatch (a retransmit).  Watermarks and counters only
+        move inside ``_dispatch``, which sets ``_work_since_report`` —
+        the flag covers them, the comparison covers the transport."""
         if self.down or self._flush_in_flight:
             return False
         if not self._work_since_report:
-            reported = {report.loop: (report.unacked, report.buffered)
+            reported = {report.loop: (report.unacked, report.buffered,
+                                      report.channels)
                         for report in self._last_reports}
-            current = {loop.name: self._loop_evidence(loop)
+            channels = self.channel_counts()
+            current = {loop.name: (*self._loop_evidence(loop), channels)
                        for loop in self.loops.values()}
             if current == reported:
                 return False
@@ -1415,6 +1417,7 @@ class Processor(Actor):
             return
         self._work_since_report = False
         snapshots = self._last_reports = []
+        channels = self.channel_counts()
         total_pending = 0
         for loop in self.loops.values():
             self._report_seq += 1
@@ -1438,6 +1441,7 @@ class Processor(Actor):
                 unacked=unacked,
                 buffered=buffered,
                 vertex_load=vertex_load,
+                channels=channels,
             ))
             total_pending += loop.pending_flush
             loop.pending_flush = 0

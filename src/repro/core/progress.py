@@ -14,7 +14,9 @@ processor.  Iteration ``k`` of a loop *terminates* once
 
 A loop *converges* when it quiesces: every active iteration has terminated
 and no processor holds pending work — equivalently, the next iteration
-would perform zero updates (paper §4.3).
+would perform zero updates (paper §4.3).  :func:`passive` is the one
+definition of "no pending work"; the live backend adds the channel counts
+its reports carry (:meth:`ProgressTracker.channels`).
 """
 
 from __future__ import annotations
@@ -23,6 +25,17 @@ import math
 from dataclasses import dataclass, field
 
 from repro.core.messages import ProgressReport
+
+#: Name of the master process's end of a channel in a report's counts.
+MASTER_CHANNEL = "master"
+
+
+def passive(watermark: float, unacked: int, buffered: int) -> bool:
+    """A processor with no pending work: no vertex update left to commit
+    (watermark ∞), no session message unacknowledged (acks happen at
+    handling time, so an empty outbox means delivered *and* processed)
+    and no update parked by the delay bound."""
+    return math.isinf(watermark) and unacked == 0 and buffered == 0
 
 
 @dataclass
@@ -35,6 +48,8 @@ class _ProcessorView:
     inputs_gathered: int = 0
     unacked: int = 0
     buffered: int = 0
+    #: ``(sent, received)`` channel counts of the report, or None.
+    channels: tuple | None = None
 
 
 class ProgressTracker:
@@ -60,15 +75,10 @@ class ProgressTracker:
         view.inputs_gathered = report.inputs_gathered
         view.unacked = report.unacked
         view.buffered = report.buffered
+        view.channels = report.channels
         if report.counters:
             self.started = True
         return True
-
-    def forget_processor(self, processor: str) -> None:
-        """A processor restarted from a checkpoint: drop its stale view
-        until fresh cumulative reports arrive."""
-        if processor in self._views:
-            self._views[processor] = _ProcessorView()
 
     def forget_all(self) -> None:
         """Invalidate every processor's view.  Used on recovery: the
@@ -97,14 +107,6 @@ class ProgressTracker:
 
     def total_inputs(self) -> int:
         return sum(view.inputs_gathered for view in self._views.values())
-
-    def pending_work(self) -> tuple[int, int]:
-        """``(unacked, buffered)`` totals across processors — the stall
-        diagnostic a JobManager reads when a tenant misses its liveness
-        window."""
-        unacked = sum(view.unacked for view in self._views.values())
-        buffered = sum(view.buffered for view in self._views.values())
-        return unacked, buffered
 
     def view(self, processor: str) -> _ProcessorView | None:
         """The latest report folded in from ``processor`` (read-only:
@@ -153,19 +155,45 @@ class ProgressTracker:
 
     @property
     def converged(self) -> bool:
-        """Quiescent: every processor reports no pending vertex work, no
-        unacknowledged session message (acks happen at handling time, so
-        an empty outbox means delivered *and* processed) and no update
-        parked by the delay bound — the next iteration would perform zero
-        updates (paper §4.3).  Unlike per-iteration message draining, this
-        criterion survives a processor crash, whose gathered-counters die
-        with it while the senders' sent-counters persist."""
-        if not self.all_reported():
-            return False
-        if not math.isinf(self.min_watermark()):
-            return False
-        return all(view.unacked == 0 and view.buffered == 0
-                   for view in self._views.values())
+        """Quiescent: every processor's last report is :func:`passive` —
+        the next iteration would perform zero updates (paper §4.3).
+        Unlike per-iteration message draining, this criterion survives a
+        processor crash, whose gathered-counters die with it while the
+        senders' sent-counters persist."""
+        return self.all_reported() and all(
+            passive(view.watermark, view.unacked, view.buffered)
+            for view in self._views.values())
+
+    def channels(self, master_sent: dict[str, int],
+                 ) -> tuple[list[str], dict[tuple[str, str], tuple]]:
+        """Match the two ends of every channel between processes, as the
+        last reports state them.
+
+        ``master_sent`` maps each live processor to the payload frames
+        the master process has put on its queue (a processor it does not
+        name, a killed one, is left out).  Returns the processors whose
+        last report carries no counts (none yet, or taken with frames
+        unhandled), and every channel ``(src, dst) -> (sent, received)``
+        either end lists — ``None`` where an end does not list it (a peer
+        that already dropped it, or was respawned without it).  A channel
+        is settled when both agree."""
+        unknown = []
+        sent: dict[tuple[str, str], int] = {
+            (MASTER_CHANNEL, name): count
+            for name, count in master_sent.items()}
+        received: dict[tuple[str, str], int] = {}
+        for name in master_sent:
+            counts = self._views[name].channels
+            if counts is None:
+                unknown.append(name)
+                continue
+            out, into = counts
+            for dst, count in out:
+                sent[name, dst] = count
+            for src, count in into:
+                received[src, name] = count
+        return unknown, {channel: (sent.get(channel), received.get(channel))
+                         for channel in sorted(sent.keys() | received.keys())}
 
     @property
     def last_terminated(self) -> int:

@@ -146,20 +146,7 @@ class ReliableEndpoint:
         message was transport housekeeping or a duplicate.
         """
         if isinstance(message, TransportAck):
-            self._outbox.pop(message.msg_id, None)
-            timer = self._timers.pop(message.msg_id, None)
-            if timer is not None:
-                timer.cancel()
-            tag = self._tags.pop(message.msg_id, None)
-            if tag is not None:
-                remaining = self.pending_by_tag.get(tag, 0) - 1
-                if remaining > 0:
-                    self.pending_by_tag[tag] = remaining
-                else:
-                    # Drop the key outright: long runs cycle through many
-                    # tags (one per branch loop) and keeping zero entries
-                    # grows the dict unboundedly.
-                    self.pending_by_tag.pop(tag, None)
+            self._settle(message.msg_id)
             return None
         if isinstance(message, Unreliable):
             return message.payload
@@ -193,19 +180,26 @@ class ReliableEndpoint:
             if not (isinstance(payload, kinds) if kinds
                     else predicate is not None and predicate(payload)):
                 continue
-            del self._outbox[msg_id]
-            timer = self._timers.pop(msg_id, None)
-            if timer is not None:
-                timer.cancel()
-            tag = self._tags.pop(msg_id, None)
-            if tag is not None:
-                remaining = self.pending_by_tag.get(tag, 0) - 1
-                if remaining > 0:
-                    self.pending_by_tag[tag] = remaining
-                else:
-                    self.pending_by_tag.pop(tag, None)
+            self._settle(msg_id)
             purged += 1
         return purged
+
+    def _settle(self, msg_id: int) -> None:
+        """Forget one message: no outbox entry, timer or tag count left."""
+        self._outbox.pop(msg_id, None)
+        timer = self._timers.pop(msg_id, None)
+        if timer is not None:
+            timer.cancel()
+        tag = self._tags.pop(msg_id, None)
+        if tag is not None:
+            remaining = self.pending_by_tag.get(tag, 0) - 1
+            if remaining > 0:
+                self.pending_by_tag[tag] = remaining
+            else:
+                # Drop the key outright: long runs cycle through many
+                # tags (one per branch loop) and keeping zero entries
+                # grows the dict unboundedly.
+                self.pending_by_tag.pop(tag, None)
 
     # ------------------------------------------------------------ lifecycle
     def clear(self) -> None:

@@ -22,8 +22,9 @@ Architecture (see DESIGN.md §3h):
   queues (single producer, single consumer, so per-link FIFO), and only
   a respawned worker's traffic is relayed through the master;
 * convergence is decided by counting: both ends of every channel count
-  their payload frames, and the run has converged when every report is
-  passive and every channel's counts agree — no timed confirmations;
+  their payload frames, every progress report carries its worker's
+  counts, and the run has converged when every report is passive and
+  every channel's counts agree — no timed confirmations;
 * correctness is gated by :mod:`repro.live.oracle`: the live run's final
   vertex state and protocol-phase counts must match the DES run with the
   same seed.
@@ -34,9 +35,9 @@ from repro.live.kernel import LiveKernel
 from repro.live.oracle import canonical_digest, cross_check, job_fingerprint
 from repro.live.store import LiveBackend, WorkerStore
 from repro.live.transport import LiveTransport, MasterNet, WorkerNet
-from repro.live.wire import (ChannelEvidence, Collect, FetchStore,
-                             FinalReport, PeerDown, Shutdown, StoreLoad,
-                             StoreWrite, Wire, WorkerError)
+from repro.live.wire import (Collect, FetchStore, FinalReport, PeerDown,
+                             Shutdown, StoreLoad, StoreWrite, Wire,
+                             WorkerError)
 
 __all__ = [
     "LiveJob",
@@ -48,7 +49,6 @@ __all__ = [
     "WorkerStore",
     "Wire",
     "StoreWrite",
-    "ChannelEvidence",
     "StoreLoad",
     "PeerDown",
     "FetchStore",

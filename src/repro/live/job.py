@@ -30,9 +30,10 @@ master-side timer is due or the caller's deadline passes — it never
 polls.
 
 Convergence is decided exactly, without waiting
-(:meth:`LiveJob._converged`): the :class:`ProgressTracker` evidence the
-simulator uses, plus per-channel counts of payload frames that say
-nothing is in flight (:func:`channel_report`).
+(:meth:`LiveJob.quiescent`): the :class:`ProgressTracker` predicate the
+simulator uses, plus the per-channel counts of payload frames the same
+reports carry, which say nothing is in flight
+(:meth:`ProgressTracker.channels`).
 
 What it deliberately does **not** support yet: branch-loop queries and
 the live rebalancer (both raise) — the main loop, crash recovery and the
@@ -59,10 +60,10 @@ from repro.core.partition import PartitionScheme
 from repro.core.vertex import Application
 from repro.errors import QueryError, SimulationError
 from repro.live.kernel import LiveKernel
-from repro.live.transport import MASTER_CHANNEL, MasterNet
-from repro.live.wire import (ChannelEvidence, Collect, FetchStore,
-                             FinalReport, PeerDown, Shutdown, StoreLoad,
-                             StoreWrite, Wire, WorkerError, WorkerSpec)
+from repro.live.transport import MasterNet
+from repro.live.wire import (Collect, FetchStore, FinalReport, PeerDown,
+                             Shutdown, StoreLoad, StoreWrite, Wire,
+                             WorkerError, WorkerSpec)
 from repro.live.worker import LoopStats, worker_main
 from repro.obs import TraceRecorder
 from repro.storage import CheckpointManifest, VersionedStore
@@ -73,36 +74,6 @@ DRAIN_SLICE = 256
 #: ``FinalReport`` fields :meth:`LiveJob.worker_stats` surfaces.
 WORKER_STAT_FIELDS = (*(field.name for field in fields(LoopStats)),
                       "frames_out", "channel_sent", "channel_received")
-
-
-def channel_report(view_seqs: dict[str, int],
-                   evidence: dict[str, ChannelEvidence],
-                   master_sent: dict[str, int],
-                   ) -> tuple[list[str], dict[tuple[str, str], tuple]]:
-    """Match the two ends of every channel between live processes.
-
-    ``view_seqs`` maps each live worker to the ``seq`` of its last
-    report the tracker folded in, ``evidence`` holds the last
-    :class:`ChannelEvidence` each sent, ``master_sent`` is the master's
-    own count per worker.  Returns the workers whose evidence is not the
-    one taken with that report (none yet, older, or newer), and every
-    channel ``(src, dst) -> (sent, received)`` either end lists — ``None``
-    where an end does not list it (a peer that already dropped it, or
-    was respawned without it).  A channel is settled when both agree."""
-    lagging = [name for name, seq in view_seqs.items()
-               if name not in evidence or evidence[name].seq != seq]
-    sent: dict[tuple[str, str], int] = {
-        (MASTER_CHANNEL, name): master_sent.get(name, 0)
-        for name in view_seqs}
-    received: dict[tuple[str, str], int] = {}
-    for name in view_seqs:
-        if name in evidence:
-            for dst, count in evidence[name].sent:
-                sent[name, dst] = count
-            for src, count in evidence[name].received:
-                received[src, name] = count
-    return lagging, {channel: (sent.get(channel), received.get(channel))
-                     for channel in sorted(sent.keys() | received.keys())}
 
 
 @dataclass
@@ -151,8 +122,6 @@ class LiveJob(TornadoJob):
                                  self.MASTER)
         #: Final reports gathered by the last :meth:`finalize` barrier.
         self.reports: dict[str, FinalReport] = {}
-        #: Last channel counts heard from each worker's live incarnation.
-        self._evidence: dict[str, ChannelEvidence] = {}
         metrics = self.kernel.metrics
         self._m_wakeups = metrics.counter("live.pump.wakeups")
         self._m_blocked = metrics.counter("live.pump.blocked_s")
@@ -213,7 +182,6 @@ class LiveJob(TornadoJob):
         # WorkerError among it raises here); nothing reads its pipe again.
         self._drain_dead(link)
         link.queue_out.close()
-        self._evidence.pop(name, None)
         for peer in self._links.values():
             if peer.alive:
                 peer.queue_in.put(PeerDown(name))
@@ -272,10 +240,6 @@ class LiveJob(TornadoJob):
                 self.store.put(loop, key, iteration, value)
             for loop, iteration in item.frontiers:
                 self.manifest.record_flush(loop, item.processor, iteration)
-            if item.evidence is not None:
-                self._evidence[item.processor] = item.evidence
-        elif isinstance(item, ChannelEvidence):
-            self._evidence[item.processor] = item
         elif isinstance(item, FetchStore):
             link = self._links.get(item.processor)
             if link is not None and link.alive:
@@ -331,56 +295,56 @@ class LiveJob(TornadoJob):
         return True
 
     def _channels(self) -> tuple[list[str], dict[tuple[str, str], tuple]]:
-        """:func:`channel_report` over the live workers as of now."""
-        tracker = self.master.trackers.get(MAIN_LOOP)
-        view_seqs = {name: tracker.view(name).seq if tracker else -1
-                     for name, link in self._links.items() if link.alive}
-        return channel_report(view_seqs, self._evidence, self.net.sent)
+        """:meth:`ProgressTracker.channels` over the live workers as of
+        now: the workers whose last report carries no counts, and every
+        channel's ``(sent, received)``."""
+        tracker = self.master.trackers[MAIN_LOOP]
+        return tracker.channels({name: self.net.sent[name]
+                                 for name, link in self._links.items()
+                                 if link.alive})
 
-    def _converged(self) -> bool:
+    def quiescent(self) -> bool:
         """Whether the main loop has converged — exact at the instant it
-        is asked, after an idle pump pass.  Three conjuncts:
+        is asked, after an idle pump pass or slice.  Two conjuncts:
 
-        1. the simulator's evidence: every worker's last report is
-           passive (watermark ∞, nothing unacked, nothing buffered), and
-           the master and the ingester have nothing parked, ready or
+        1. the simulator's predicate: every worker's last report is
+           passive (:func:`~repro.core.progress.passive`), and the
+           master and the ingester have nothing parked, ready or
            unacknowledged;
-        2. each live worker's channel counts are the ones it took with
-           that very report (``evidence.seq == view.seq``), so counts
-           and passivity describe the same instant of that worker;
-        3. on every open channel — worker→worker and master→worker — the
-           receiver has taken exactly the payload frames the sender put.
+        2. on every open channel — worker→worker and master→worker — the
+           receiver has taken exactly the payload frames the sender put,
+           as the same reports state them.
 
         Why that needs no waiting: a passive worker can only be woken by
         a payload frame — its timers are the report tick, which changes
         nothing, and retransmits, which need an unacked envelope, and
         every peer-bound send is an envelope it counts as unacked.  So
-        if any worker handled a payload after its snapshot, take the
-        first such handling anywhere.  Its frame was sent either before
-        the sender's own snapshot — then it is in the sender's ``sent``
-        and, channels being FIFO, not in the receiver's ``received``,
-        contradicting 3 — or after it, which needs an earlier wake-up of
+        if any worker handled a payload after its report, take the first
+        such handling anywhere.  Its frame was sent either before the
+        sender's own report — then it is in the sender's ``sent`` and,
+        channels being FIFO, not in the receiver's ``received``,
+        contradicting 2 — or after it, which needs an earlier wake-up of
         the sender, contradicting "first".  The master's ``sent`` is
         read live, so a frame it sent is always in it, and with 1 it has
         no reason to send another: a later heartbeat report repeats the
         view it already has.  Received-but-unhandled frames cannot hide
-        either: counts are only taken with the actor inbox empty.  Acks
-        are not counted because an ack can only make its receiver more
-        passive (``repro.live.transport.is_payload``)."""
-        tracker = self.master.trackers.get(MAIN_LOOP)
-        if tracker is None or not tracker.started or not tracker.converged:
+        either: a report taken with frames unhandled carries no counts.
+        Acks are not counted because an ack can only make its receiver
+        more passive (``repro.live.transport.is_payload``)."""
+        tracker = self.master.trackers[MAIN_LOOP]
+        if not tracker.started or not tracker.converged:
             return False
         if self.kernel.parked_count or self.kernel.ready_count:
             return False
         if self.master.transport.unacked or self.ingester.transport.unacked:
             return False
-        lagging, channels = self._channels()
-        return not lagging and all(sent == received
+        unknown, channels = self._channels()
+        return not unknown and all(sent == received
                                    for sent, received in channels.values())
 
     def run_until_converged(self, timeout: float = 120.0) -> float:
         """Pump until the main loop converges; returns on the first idle
-        pass on which :meth:`_converged` holds.  Returns the wall-clock
+        pass on which :meth:`quiescent` holds.  Returns the wall-clock
         seconds spent.  Raises ``TimeoutError`` with per-worker and
         per-channel diagnostics if convergence is not reached in time."""
         started = time.monotonic()
@@ -388,7 +352,7 @@ class LiveJob(TornadoJob):
         while True:
             if self._pump_once() or self._release_parked():
                 continue
-            if self._converged():
+            if self.quiescent():
                 return time.monotonic() - started
             remaining = deadline - time.monotonic()
             if remaining <= 0:
@@ -415,13 +379,6 @@ class LiveJob(TornadoJob):
             break
         return worked
 
-    @property
-    def converged(self) -> bool:
-        """Whether the main loop has converged — the exact predicate
-        :meth:`run_until_converged` returns on; meaningful after a pump
-        pass or slice that found nothing to do."""
-        return self._converged()
-
     def pump_for(self, seconds: float) -> None:
         """Pump the deployment for a wall-clock duration (the live
         analogue of ``run_for`` — used to get a run mid-flight before
@@ -435,12 +392,12 @@ class LiveJob(TornadoJob):
         """Where the deployment stands — one line for the master, one per
         worker, one for the channel counts as last reported, and one
         naming what the convergence predicate is still waiting for:
-        channels with frames in flight, workers whose counts lag their
-        last report.  What a ``TimeoutError`` of this module carries."""
-        tracker = self.master.trackers.get(MAIN_LOOP)
+        channels with frames in flight, workers whose last report carries
+        no counts.  What a ``TimeoutError`` of this module carries."""
+        tracker = self.master.trackers[MAIN_LOOP]
         lines = [
-            f"master: tracker started={getattr(tracker, 'started', None)} "
-            f"frontier={getattr(tracker, 'frontier', None)} "
+            f"master: tracker started={tracker.started} "
+            f"frontier={tracker.frontier} "
             f"parked={self.kernel.parked_count} "
             f"ready={self.kernel.ready_count} "
             f"unacked={self.master.transport.unacked} "
@@ -448,20 +405,16 @@ class LiveJob(TornadoJob):
             f"dropped={self.net.dropped} "
             f"relayed={int(self._m_relayed.value)}"]
         for name, link in self._links.items():
-            line = (f"{name}: alive={link.alive} "
-                    f"exitcode={link.process.exitcode} "
-                    f"incarnation={link.incarnation} "
-                    f"frames drained={link.frames}")
-            view = tracker.view(name) if tracker is not None else None
-            if view is not None:
-                line += (f" last report seq={view.seq} "
+            view = tracker.view(name)
+            lines.append(f"{name}: alive={link.alive} "
+                         f"exitcode={link.process.exitcode} "
+                         f"incarnation={link.incarnation} "
+                         f"frames drained={link.frames} "
+                         f"last report seq={view.seq} "
                          f"unacked={view.unacked} "
                          f"buffered={view.buffered} "
                          f"watermark={view.watermark}")
-            if name in self._evidence:
-                line += f" evidence seq={self._evidence[name].seq}"
-            lines.append(line)
-        lagging, channels = self._channels()
+        unknown, channels = self._channels()
         lines.append("channels (sent/received): " + ", ".join(
             f"{src}→{dst} {sent}/{received}"
             for (src, dst), (sent, received) in channels.items()))
@@ -469,9 +422,9 @@ class LiveJob(TornadoJob):
                      for (src, dst), (sent, received) in channels.items()
                      if sent != received]
         lines.append("in flight: " + ("; ".join(in_flight) or "nothing"))
-        if lagging:
-            lines.append("evidence lags the last report of: "
-                         + ", ".join(lagging))
+        if unknown:
+            lines.append("no channel counts in the last report of: "
+                         + ", ".join(unknown))
         return "\n".join(lines)
 
     # ------------------------------------------------------------- feeding
@@ -611,10 +564,6 @@ class LiveJob(TornadoJob):
             for key, count in report.trace_counts:
                 merged[key] = merged.get(key, 0) + count
         return dict(sorted(merged.items()))
-
-    def main_frontier(self) -> int:
-        tracker = self.master.trackers.get(MAIN_LOOP)
-        return tracker.frontier if tracker is not None else 0
 
     # ------------------------------------------------------------- shutdown
     def shutdown(self) -> None:

@@ -19,7 +19,7 @@ themselves, and the max-iteration read discipline picks the newest.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable
+from typing import Any, Iterable
 
 from repro.storage.backends import StorageBackend
 from repro.storage.versioned import VersionedStore
@@ -73,19 +73,12 @@ class LiveBackend(StorageBackend):
     completes synchronously: once the frame is on the FIFO queue it is
     ordered before everything the worker sends afterwards, which is the
     only property the runtime's flush-before-report discipline needs.
-
-    The same frame carries the worker's channel counts to the master
-    (``evidence``, a callable the worker loop installs; see
-    ``ChannelEvidence``): a flush already precedes every report, so the
-    termination evidence costs no frame of its own.
     """
 
     def __init__(self, store: WorkerStore, net: Any, owner: str) -> None:
         self.store = store
         self.net = net
         self.owner = owner
-        #: ``() -> ChannelEvidence | None``; None = ship no counts.
-        self.evidence: Callable[[], Any] | None = None
         self.flushes = 0
         self.records_flushed = 0
 
@@ -101,10 +94,8 @@ class LiveBackend(StorageBackend):
         self.flushes += 1
         self.records_flushed += len(entries)
         if entries or frontiers:
-            evidence = self.evidence() if self.evidence is not None else None
             self.net.send_control(StoreWrite(
-                self.owner, self.flushes, entries,
-                tuple(frontiers), evidence))
+                self.owner, self.flushes, entries, tuple(frontiers)))
         callback(*args)
 
     def read(self, n_records: int, callback: Any, *args: Any) -> None:

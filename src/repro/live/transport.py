@@ -27,9 +27,13 @@ later, so a respawned incarnation has none: its peers drop theirs on
 nothing else.
 
 Both ends of every channel count the *payload frames* they put on it or
-take from it (:func:`is_payload`); the counts are the termination
-evidence ``LiveJob._converged`` matches (see there for why that needs no
-waiting).
+take from it (:func:`is_payload`); every progress report carries the
+worker's counts (:meth:`WorkerNet.counts`) and ``LiveJob.quiescent``
+matches them (see there for why that needs no waiting).  The counts live
+here, in the fabric, and not in :class:`ReliableEndpoint`: a frame
+:meth:`MasterNet.forward` drops for a dead link, or one still queued to a
+peer when :meth:`WorkerNet.drop_peer` closes the queue, never reaches a
+receiver — an endpoint-level count would include it and never settle.
 
 Nobody polls: the master blocks on all workers' outbound pipes at once
 (``LiveJob._wait``), a worker on all its inbound pipes until the next
@@ -53,16 +57,15 @@ from multiprocessing.connection import wait as wait_any
 from typing import Any
 
 from repro.core.messages import TransportAck
+from repro.core.progress import MASTER_CHANNEL
 from repro.core.transport import ReliableEndpoint
 from repro.live.kernel import LiveKernel
-from repro.live.wire import ChannelEvidence, Wire
+from repro.live.wire import Wire
 
 #: Message-id namespace width per incarnation (2**32 ids each).
 INCARNATION_STRIDE = 1 << 32
 #: Frames taken from one inbound queue per intake batch.
 INTAKE_SLICE = 256
-#: Name of a worker's channel from the master process in its counts.
-MASTER_CHANNEL = "master"
 
 
 def is_payload(wire: Wire) -> bool:
@@ -70,8 +73,8 @@ def is_payload(wire: Wire) -> bool:
     but a bare transport ack.  An ack starts nothing at its receiver — it
     clears an outbox entry and cancels a timer, which can only make the
     receiver *more* passive — so an ack in flight cannot invalidate a
-    convergence decision, and not counting it spares an evidence round
-    per acknowledged message."""
+    convergence decision, and not counting it spares a report per
+    acknowledged message."""
     return type(wire.payload) is not TransportAck
 
 
@@ -102,7 +105,6 @@ class WorkerNet:
         self.received = dict.fromkeys((MASTER_CHANNEL, *self.peers_in), 0)
         #: Frames put on the queue to the master (wires + control frames).
         self.frames_out = 0
-        self._told: tuple | None = None
 
     # ------------------------------------------------------------- sending
     def send(self, src: str, dst: str, message: Any) -> None:
@@ -197,16 +199,10 @@ class WorkerNet:
         self.sent.pop(name, None)
         self.received.pop(name, None)
 
-    # ------------------------------------------------------------ evidence
-    def evidence(self, seq: int) -> ChannelEvidence | None:
-        """The channel counts to tell the master beside report ``seq``,
-        or None if the last evidence handed out said exactly this."""
-        current = (seq, tuple(self.sent.items()),
-                   tuple(self.received.items()))
-        if current == self._told:
-            return None
-        self._told = current
-        return ChannelEvidence(self.owner, *current)
+    def counts(self) -> tuple:
+        """``(sent, received)`` per open channel, as a progress report
+        carries them (``ProgressReport.channels``)."""
+        return tuple(self.sent.items()), tuple(self.received.items())
 
 
 class MasterNet:

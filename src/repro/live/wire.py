@@ -15,10 +15,10 @@ families travel on the queues:
   A wire travels on the direct queue between its two workers, or on a
   worker's master queue when one end lives in the master process (or,
   after a respawn, when the direct queue died with the old incarnation).
-* Control frames (:class:`StoreWrite`, :class:`ChannelEvidence`,
-  :class:`FetchStore`, :class:`StoreLoad`, :class:`PeerDown`,
-  :class:`Collect`, :class:`FinalReport`, :class:`Shutdown`,
-  :class:`WorkerError`) only ever travel between a worker and the master
+* Control frames (:class:`StoreWrite`, :class:`FetchStore`,
+  :class:`StoreLoad`, :class:`PeerDown`, :class:`Collect`,
+  :class:`FinalReport`, :class:`Shutdown`, :class:`WorkerError`) only
+  ever travel between a worker and the master
   and are handled by the master pump or the worker loop directly, outside
   the actor inbox — they are the live backend's replacements for what the
   simulator could simply read from shared memory (the store, the
@@ -43,29 +43,6 @@ class Wire:
 
 
 @dataclass(frozen=True, slots=True)
-class ChannelEvidence:
-    """A worker's channel counts at an instant at which it had handled
-    everything it had taken in (actor inbox empty, nothing ready): how
-    many payload frames (wires other than bare ``TransportAck``s) it has
-    put on each direct channel and taken from each inbound one.  With
-    ``seq`` it says which progress report the counts belong to; the
-    master's convergence predicate matches every channel's two ends
-    (``LiveJob._converged``).  Rides the :class:`StoreWrite` that
-    precedes a report; travels alone only when counts moved without a
-    flush."""
-
-    processor: str
-    #: ``seq`` of the last progress report issued — the one right behind
-    #: this frame when it rides a StoreWrite.
-    seq: int
-    #: ``(dst, frames)`` per open direct channel out of this worker.
-    sent: tuple
-    #: ``(src, frames)`` per open channel into it; ``"master"`` is the
-    #: master queue (master, ingester and relayed traffic alike).
-    received: tuple
-
-
-@dataclass(frozen=True, slots=True)
 class StoreWrite:
     """Write-behind checkpoint shipping: the journal of versions a worker
     flushed, bound for the master's authoritative store.  Rides the same
@@ -79,10 +56,6 @@ class StoreWrite:
     entries: tuple
     #: ``(loop, iteration)`` durable frontiers as of this flush.
     frontiers: tuple
-    #: The worker's :class:`ChannelEvidence` as of this flush (None when
-    #: the master already has exactly these counts, or when the flush
-    #: happened with unhandled frames in the inbox).
-    evidence: Any = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -146,7 +119,7 @@ class FinalReport:
     reports_quiet_edge: int = 0
     #: Wall seconds blocked on the inbound queues.
     blocked_s: float = 0.0
-    #: Payload frames per open channel as in :class:`ChannelEvidence`:
+    #: Payload frames per open channel as in ``ProgressReport.channels``:
     #: ``(dst, frames)`` put on direct channels, ``(src, frames)`` taken
     #: (``"master"`` = the master queue).
     channel_sent: tuple = ()

@@ -21,13 +21,12 @@ The loop is event-driven and works in batches:
    timers (retransmits, report ticks); the bound keeps a long compute
    phase from starving intake.
 3. *Quiet edge.*  With nothing at hand and nothing ready the worker is
-   about to block.  If what it last told the master differs from what is
-   true now it tells it first: a report when its termination evidence
-   changed (``Processor.report_if_evidence_changed`` — convergence never
-   waits out ``report_interval``; the tick is a liveness heartbeat), and
-   its channel counts (``WorkerNet.evidence``) when those moved without
-   a flush to ride on.  Then it blocks on all its inbound pipes at once
-   until a frame arrives or the next timer is due.
+   about to block.  If what it last reported differs from what is true
+   now — its termination evidence or its channel counts — it reports
+   first (``Processor.report_if_evidence_changed``: convergence never
+   waits out ``report_interval``; the tick is a liveness heartbeat).
+   Then it blocks on all its inbound pipes at once until a frame arrives
+   or the next timer is due.
 """
 
 from __future__ import annotations
@@ -152,11 +151,11 @@ def worker_main(spec: WorkerSpec, inbound: Any, outbound: Any,
         processor.transport = LiveTransport(
             kernel, net, spec.name, timeout=config.retransmit_timeout,
             incarnation=spec.incarnation)
-        # Channel counts ride a flush only when every frame taken in has
-        # been handled (see ChannelEvidence); a tick that fires with the
-        # inbox still loaded leaves them to the next flush or quiet edge.
-        backend.evidence = lambda: (None if kernel.ready_count else
-                                    net.evidence(processor.report_seq))
+        # Channel counts ride a report only when every frame taken in has
+        # been handled; a tick that fires with the inbox still loaded
+        # reports none, and the next flush or quiet edge reports them.
+        processor.channel_counts = lambda: (None if kernel.ready_count
+                                            else net.counts())
 
         if spec.recovering:
             net.send_control(FetchStore(spec.name))
@@ -179,9 +178,6 @@ def worker_main(spec: WorkerSpec, inbound: Any, outbound: Any,
                 # Quiet edge: about to block.
                 if processor.report_if_evidence_changed():
                     stats.reports_quiet_edge += 1
-                evidence = net.evidence(processor.report_seq)
-                if evidence is not None:
-                    net.send_control(evidence)
                 delay = kernel.next_timer_delay()
                 blocked_at = time.monotonic()
                 batch = net.take_batch(

@@ -1,99 +1,11 @@
-"""Tests for the rate sampler and the job's store GC."""
-
-import pytest
+"""Tests for the job's store GC."""
 
 from repro.algorithms.graph_common import EdgeStreamRouter
 from repro.algorithms.sssp import SSSPProgram
 from repro.core import Application, TornadoConfig, TornadoJob
-from repro.core.metrics import RateSampler
-from repro.simulator import Simulator
 from repro.streams import UniformRate, edge_stream
 
 EDGES = [("s", "a"), ("a", "b"), ("b", "c"), ("s", "c")]
-
-
-class TestRateSampler:
-    def test_samples_deltas(self):
-        sim = Simulator()
-        box = {"n": 0}
-
-        def bump():
-            box["n"] += 5
-            sim.schedule(1.0, bump)
-
-        sim.schedule(1.0, bump)
-        sampler = RateSampler(sim, lambda: box["n"], interval=1.0)
-        sim.run(until=4.5)
-        rates = [rate for _t, rate in sampler.rates()]
-        assert rates == pytest.approx([5.0, 5.0, 5.0, 5.0])
-        assert sampler.peak_rate() == 5.0
-        assert sampler.mean_rate() == pytest.approx(5.0)
-
-    def test_stop_halts_sampling(self):
-        sim = Simulator()
-        sampler = RateSampler(sim, lambda: 0.0, interval=1.0)
-        sim.run(until=2.5)
-        sampler.stop()
-        sim.run(until=10.0)
-        assert len(sampler.samples) == 2
-
-    def test_interval_validation(self):
-        with pytest.raises(ValueError):
-            RateSampler(Simulator(), lambda: 0.0, interval=0.0)
-
-    def test_restart_does_not_duplicate_tick_chain(self):
-        # Regression: stop() used to leave the scheduled tick live, so a
-        # restart before it fired ran two chains — duplicated samples at
-        # offset instants.
-        sim = Simulator()
-        box = {"n": 0}
-        sim.schedule(0.0, lambda: None)
-        sampler = RateSampler(sim, lambda: box["n"], interval=1.0)
-        sim.run(until=2.5)           # ticks at 1.0 and 2.0
-        sampler.stop()               # stale tick pending at 3.0
-        sampler.start()              # restart before the stale tick fires
-        sim.run(until=6.5)
-        times = [s.time for s in sampler.samples]
-        # One sample per interval, strictly increasing — no doubled chain.
-        assert times == sorted(set(times))
-        assert len(times) == 6      # 1.0, 2.0, then 3.5, 4.5, 5.5, 6.5
-
-    def test_stop_start_cycle_keeps_single_chain(self):
-        sim = Simulator()
-        sampler = RateSampler(sim, lambda: sim.now, interval=0.5)
-        for _ in range(3):
-            sampler.stop()
-            sampler.start()
-        sim.run(until=2.2)
-        assert len(sampler.samples) == 4
-        assert sim.pending_events <= 1
-
-    def test_restart_after_idle_skips_stopped_window(self):
-        sim = Simulator()
-        box = {"n": 0}
-        sampler = RateSampler(sim, lambda: box["n"], interval=1.0)
-        sim.run(until=1.5)
-        sampler.stop()
-        box["n"] += 100              # growth while stopped
-        sim.run(until=4.0)
-        sampler.start()
-        sim.run(until=5.5)
-        # The restart re-bases the delta: the stopped window's growth is
-        # not booked as a one-interval spike.
-        assert sampler.samples[-1].rate == pytest.approx(0.0)
-
-    def test_counts_job_commits(self):
-        app = Application(SSSPProgram("s"), EdgeStreamRouter(),
-                          name="sssp")
-        job = TornadoJob(app, TornadoConfig(n_processors=2,
-                                            storage_backend="memory",
-                                            report_interval=0.01))
-        sampler = RateSampler(job.sim, lambda: job.total_commits,
-                              interval=0.25)
-        job.feed(edge_stream(EDGES, UniformRate(rate=100.0)))
-        job.run_for(2.0)
-        assert sampler.peak_rate() > 0.0
-        assert sampler.samples[-1].total == job.total_commits
 
 
 class TestStoreGC:

@@ -2,8 +2,12 @@
 
 import math
 
+from repro.algorithms import EdgeStreamRouter
+from repro.algorithms.sssp import SSSPProgram
+from repro.core import Application, TornadoConfig, TornadoJob
 from repro.core.messages import ProgressReport
-from repro.core.progress import ProgressTracker
+from repro.core.progress import ProgressTracker, passive
+from repro.streams import UniformRate, edge_stream
 
 
 def report(processor, seq, counters, watermark=math.inf, loop="main",
@@ -119,12 +123,12 @@ class TestConvergence:
         tracker.apply_report(report("p1", 1, {}, loop="b"))
         assert tracker.converged
 
-    def test_forget_processor_blocks_until_fresh_report(self):
+    def test_forget_all_blocks_until_fresh_report(self):
         tracker = ProgressTracker("b", ["p0"])
         tracker.apply_report(report("p0", 5, {0: (1, 0, 0)}, loop="b"))
         tracker.advance()
         assert tracker.converged
-        tracker.forget_processor("p0")
+        tracker.forget_all()
         assert not tracker.converged
         assert tracker.advance() == []
         # Fresh post-recovery report (seq restarts) is accepted.
@@ -137,3 +141,28 @@ class TestConvergence:
         tracker.apply_report(report("p0", 1, {}, inputs=10))
         tracker.apply_report(report("p1", 1, {}, inputs=5))
         assert tracker.total_inputs() == 15
+
+
+class TestPassive:
+    def test_one_definition_of_no_pending_work(self):
+        assert passive(math.inf, 0, 0)
+        assert not passive(3, 0, 0)
+        assert not passive(math.inf, 1, 0)
+        assert not passive(math.inf, 0, 1)
+
+
+class TestQuiescent:
+    def test_input_on_the_wire_is_not_quiescent(self):
+        """An ingester input sent but not yet acknowledged is work the
+        main loop has not seen: the processors alone read idle."""
+        job = TornadoJob(
+            Application(SSSPProgram("s"), EdgeStreamRouter(), name="sssp"),
+            TornadoConfig(n_processors=2, seed=7))
+        job.feed(edge_stream([("s", "a"), ("a", "b")], UniformRate(1e6)))
+        job.run_until(job.quiescent)
+        job.feed(edge_stream([("b", "c")], UniformRate(1e6)))
+        job.run_until(lambda: job.ingester.tuples_ingested >= 3)
+        assert job.ingester.transport.unacked
+        assert not job.quiescent()
+        job.run_until(job.quiescent)
+        assert job.ingester.transport.unacked == 0

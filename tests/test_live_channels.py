@@ -2,8 +2,9 @@
 exact (count-based) convergence predicate, and the relay that remains
 for a respawned incarnation.
 
-``TestWorkerNet`` and ``TestChannelReport`` run in this process;
-everything else spawns real worker processes.
+``TestWorkerNet`` and ``TestChannelReport`` (the tracker's channel
+half, on hand-built reports) run in this process; everything else spawns
+real worker processes.
 """
 
 import math
@@ -19,11 +20,11 @@ from hypothesis import given, settings, strategies as st
 from repro.algorithms import EdgeStreamRouter
 from repro.algorithms.sssp import SSSPProgram, reference_sssp
 from repro.core import Application, TornadoConfig, TornadoJob
-from repro.core.messages import Envelope, TransportAck
-from repro.live.job import channel_report
+from repro.core.messages import Envelope, ProgressReport, TransportAck
+from repro.core.progress import ProgressTracker
 from repro.live.kernel import LiveKernel
 from repro.live.transport import WorkerNet
-from repro.live.wire import ChannelEvidence, Collect, StoreWrite, Wire
+from repro.live.wire import Collect, StoreWrite, Wire
 from repro.streams import UniformRate, edge_stream
 from tests.test_live_backend import FakeQueue
 
@@ -57,8 +58,10 @@ def reference(edges, source="s"):
             if not math.isinf(d)}
 
 
-def evidence(name, seq, sent=(), received=()):
-    return ChannelEvidence(name, seq, tuple(sent), tuple(received))
+def counted(name, seq, sent=(), received=()):
+    """A passive main-loop report from ``name`` carrying these counts."""
+    return ProgressReport("main", name, seq, {}, math.inf,
+                          channels=(tuple(sent), tuple(received)))
 
 
 def wire(src, payload, dst="proc-0"):
@@ -130,125 +133,127 @@ class TestWorkerNet:
             [Envelope(2, "after")]              # ... through the master
         net.drop_peer("proc-1")                 # a second kill: no-op
 
-    def test_evidence_is_handed_out_once_per_change(self):
+    def test_counts_move_with_payload_frames_only(self):
         net = self.net()
-        assert net.evidence(0) == ChannelEvidence(
-            "proc-0", 0, (("proc-1", 0),), (("master", 0), ("proc-1", 0)))
-        assert net.evidence(0) is None
-        assert net.evidence(1).seq == 1         # a new report
+        assert net.counts() == ((("proc-1", 0),),
+                                (("master", 0), ("proc-1", 0)))
         net.send("proc-0", "proc-1", TransportAck(3))
-        assert net.evidence(1) is None          # acks move no count
+        assert net.counts()[0] == (("proc-1", 0),)      # acks move no count
         net.send("proc-0", "proc-1", Envelope(1, "update"))
-        assert net.evidence(1).sent == (("proc-1", 1),)
-        net.drop_peer("proc-1")
-        assert net.evidence(1) == ChannelEvidence(
-            "proc-0", 1, (), (("master", 0),))
+        assert net.counts()[0] == (("proc-1", 1),)
+        net.drop_peer("proc-1")                         # both ends go
+        assert net.counts() == ((), (("master", 0),))
 
 
 class TestChannelReport:
-    """The predicate's channel half on hand-built evidence."""
+    """The tracker's channel half on hand-built reports."""
 
-    SEQS = {"proc-0": 4, "proc-1": 9}
     MASTER_SENT = {"proc-0": 3, "proc-1": 5}
 
+    def tracker(self, *reports):
+        tracker = ProgressTracker("main", ["proc-0", "proc-1"])
+        for report in reports or self.settled():
+            tracker.apply_report(report)
+        return tracker
+
     def settled(self):
-        return {
-            "proc-0": evidence("proc-0", 4, [("proc-1", 12)],
-                               [("master", 3), ("proc-1", 7)]),
-            "proc-1": evidence("proc-1", 9, [("proc-0", 7)],
-                               [("master", 5), ("proc-0", 12)]),
-        }
+        return [counted("proc-0", 4, [("proc-1", 12)],
+                        [("master", 3), ("proc-1", 7)]),
+                counted("proc-1", 9, [("proc-0", 7)],
+                        [("master", 5), ("proc-0", 12)])]
 
     def test_agreeing_ends_are_settled(self):
-        lagging, channels = channel_report(self.SEQS, self.settled(),
-                                           self.MASTER_SENT)
-        assert lagging == []
+        unknown, channels = self.tracker().channels(self.MASTER_SENT)
+        assert unknown == []
         assert channels == {("master", "proc-0"): (3, 3),
                             ("master", "proc-1"): (5, 5),
                             ("proc-0", "proc-1"): (12, 12),
                             ("proc-1", "proc-0"): (7, 7)}
 
     def test_one_frame_in_flight_between_workers(self):
-        held = self.settled()
-        held["proc-1"] = evidence("proc-1", 9, [("proc-0", 7)],
-                                  [("master", 5), ("proc-0", 11)])
-        lagging, channels = channel_report(self.SEQS, held,
-                                           self.MASTER_SENT)
-        assert lagging == []
+        tracker = self.tracker()
+        tracker.apply_report(counted("proc-1", 10, [("proc-0", 7)],
+                                     [("master", 5), ("proc-0", 11)]))
+        unknown, channels = tracker.channels(self.MASTER_SENT)
+        assert unknown == []
         assert [channel for channel, (sent, received) in channels.items()
                 if sent != received] == [("proc-0", "proc-1")]
         assert channels["proc-0", "proc-1"] == (12, 11)
 
     def test_one_frame_in_flight_from_the_master(self):
-        _lagging, channels = channel_report(
-            self.SEQS, self.settled(), {"proc-0": 4, "proc-1": 5})
+        _unknown, channels = self.tracker().channels(
+            {"proc-0": 4, "proc-1": 5})
         assert channels["master", "proc-0"] == (4, 3)
 
-    def test_evidence_of_another_report_lags(self):
-        assert channel_report({"proc-0": 5, "proc-1": 9}, self.settled(),
-                              self.MASTER_SENT)[0] == ["proc-0"]
-        assert channel_report({"proc-0": 4, "proc-1": 8}, self.settled(),
-                              self.MASTER_SENT)[0] == ["proc-1"]
+    def test_report_without_counts_leaves_its_worker_unknown(self):
+        """A report taken with frames unhandled carries no counts: the
+        counts of the report before it no longer describe the worker."""
+        tracker = self.tracker()
+        tracker.apply_report(ProgressReport("main", "proc-0", 5, {},
+                                            math.inf))
+        unknown, channels = tracker.channels(self.MASTER_SENT)
+        assert unknown == ["proc-0"]
+        assert channels["proc-1", "proc-0"] == (7, None)
 
     def test_worker_without_evidence_lags(self):
-        held = self.settled()
-        del held["proc-1"]
-        lagging, channels = channel_report(self.SEQS, held,
-                                           self.MASTER_SENT)
-        assert lagging == ["proc-1"]
-        # Its ends are unknown, so the channels it shares stay open.
+        """A worker not heard from since the views were reset (recovery)
+        is unknown, and the channels it shares stay open."""
+        tracker = self.tracker(self.settled()[0])
+        unknown, channels = tracker.channels(self.MASTER_SENT)
+        assert unknown == ["proc-1"]
         assert channels["proc-0", "proc-1"] == (12, None)
         assert channels["master", "proc-1"] == (5, None)
 
     def test_channel_dropped_at_one_end_only_is_open(self):
         """A respawned proc-1 lists no peers; proc-0 still does until it
         has handled PeerDown and said so."""
-        held = self.settled()
-        held["proc-1"] = evidence("proc-1", 9, [], [("master", 5)])
-        _lagging, channels = channel_report(self.SEQS, held,
-                                            self.MASTER_SENT)
+        tracker = self.tracker()
+        tracker.apply_report(counted("proc-1", 10, [], [("master", 5)]))
+        _unknown, channels = tracker.channels(self.MASTER_SENT)
         assert channels["proc-0", "proc-1"] == (12, None)
         assert channels["proc-1", "proc-0"] == (None, 7)
-        held["proc-0"] = evidence("proc-0", 4, [], [("master", 3)])
-        _lagging, channels = channel_report(self.SEQS, held,
-                                            self.MASTER_SENT)
+        tracker.apply_report(counted("proc-0", 5, [], [("master", 3)]))
+        _unknown, channels = tracker.channels(self.MASTER_SENT)
         assert all(sent == received
                    for sent, received in channels.values())
+
+    def test_a_worker_the_master_does_not_name_is_left_out(self):
+        """A killed worker's last report still lists its channels; the
+        live driver names only the live workers."""
+        _unknown, channels = self.tracker().channels({"proc-0": 3})
+        assert ("master", "proc-1") not in channels
+        assert channels["proc-0", "proc-1"] == (12, None)
 
 
 class TestExactPredicate:
     def test_idle_views_do_not_converge_on_mismatched_evidence(self):
-        """Every tracker view reads passive, yet one channel count or
-        one evidence seq out of line keeps ``converged`` false."""
+        """Every tracker view reads passive, yet one channel count out of
+        line, or a last report without counts, keeps ``quiescent()``
+        false."""
         job = live_job(report_interval=5.0)     # no heartbeat in between
         try:
             job.feed(edge_stream(BASE_EDGES, BURST))
             job.run_until_converged(timeout=30.0)
-            assert job.converged
-            true = dict(job._evidence)
-            mine = true["proc-0"]
-            (peer, count), = mine.sent
+            assert job.quiescent()
+            view = job.master.trackers["main"].view("proc-0")
+            true = view.channels
+            (peer, count), = true[0]
 
-            job._evidence["proc-0"] = evidence(
-                "proc-0", mine.seq, [(peer, count + 1)], mine.received)
-            assert not job.converged
+            view.channels = (((peer, count + 1),), true[1])
+            assert not job.quiescent()
             assert f"proc-0→{peer}: {count + 1} sent, {count} received" \
                 in job.diagnostics()
 
-            job._evidence["proc-0"] = evidence(
-                "proc-0", mine.seq - 1, mine.sent, mine.received)
-            assert not job.converged
-            assert "evidence lags the last report of: proc-0" \
+            view.channels = None
+            assert not job.quiescent()
+            assert "no channel counts in the last report of: proc-0" \
                 in job.diagnostics()
 
-            del job._evidence["proc-0"]
-            assert not job.converged
-
-            job._evidence.update(true)
+            view.channels = true
             job.net.sent["proc-1"] += 1         # a master frame in flight
-            assert not job.converged
+            assert not job.quiescent()
             job.net.sent["proc-1"] -= 1
-            assert job.converged
+            assert job.quiescent()
             assert "in flight: nothing" in job.diagnostics()
         finally:
             job.shutdown()
@@ -323,13 +328,13 @@ class TestSoundness:
                 fed += delta
                 job.feed(edge_stream(delta, BURST))
                 job.run_until_converged(timeout=60.0)
-                _lagging, before = job._channels()
+                _unknown, before = job._channels()
                 job._handle_item = watch
                 job.pump_for(0.05)
                 del job._handle_item
                 # (A heartbeat may be half in: its counts are compared,
                 # its seq is not.)
-                _lagging, after = job._channels()
+                _unknown, after = job._channels()
                 assert after == before, f"a frame moved after {fed[-1]}"
                 assert not late, f"state flushed after {fed[-1]}"
             assert finite_distances(job.main_values()) == reference(fed, 0)
@@ -425,7 +430,7 @@ class TestRecovery:
             edges += delta
             job.feed(edge_stream(delta, BURST))
             job.pump_for(0.3)
-            _lagging, channels = job._channels()
+            _unknown, channels = job._channels()
             queued = {channel: counts for channel, counts
                       in channels.items()
                       if channel[1] == victim and channel[0] != "master"
@@ -445,7 +450,7 @@ class TestRecovery:
             for name in ("proc-0", "proc-2"):
                 assert victim not in stats[name]["channel_sent"]
                 assert victim not in stats[name]["channel_received"]
-            _lagging, channels = job._channels()
+            _unknown, channels = job._channels()
             assert not any(victim in channel and "master" not in channel
                            for channel in channels)
         finally:

@@ -94,6 +94,40 @@ class TestQuietEdgeReport:
         assert reports_in(outbound.items)[-1].unacked == 0
         assert not processor.report_if_evidence_changed()
 
+    def test_channel_counts_ride_the_report(self):
+        """Counts that move without a dispatch (a retransmit put straight
+        on the fabric) are reported once; a report taken with a frame
+        still unhandled carries none, and the quiet edge then does."""
+        kernel = LiveKernel()
+        outbound = FakeQueue()
+        net = WorkerNet(kernel, "proc-0", outbound, FakeQueue(),
+                        {"proc-1": FakeQueue()}, {"proc-1": FakeQueue()})
+        store = WorkerStore()
+        config = TornadoConfig(backend="live", n_processors=2,
+                               report_interval=5.0)
+        processor = Processor(kernel, "proc-0", config, sssp_app(),
+                              PartitionScheme(["proc-0", "proc-1"]), store,
+                              LiveBackend(store, net, "proc-0"), net,
+                              "master")
+        processor.channel_counts = lambda: (None if kernel.ready_count
+                                            else net.counts())
+        assert processor.report_if_evidence_changed()
+        assert reports_in(outbound.items)[-1].channels == net.counts()
+        assert not processor.report_if_evidence_changed()
+
+        net.send("proc-0", "proc-1", Envelope(7, "update"))
+        assert processor.report_if_evidence_changed()
+        assert reports_in(outbound.items)[-1].channels[0] == \
+            (("proc-1", 1),)
+        assert not processor.report_if_evidence_changed()
+
+        processor.deliver(TransportAck(3), "proc-1")
+        processor._flush_then_report()          # the frame is unhandled
+        assert reports_in(outbound.items)[-1].channels is None
+        kernel.run_ready()
+        assert processor.report_if_evidence_changed()
+        assert reports_in(outbound.items)[-1].channels == net.counts()
+
     def test_converges_without_report_ticks(self):
         """With the tick effectively off, every delta still converges at
         once: termination evidence travels on idle and quiet-edge

@@ -33,15 +33,18 @@ from repro.core.messages import (Acknowledge, BranchDone, ColumnBatch,
                                  StopLoop, TransportAck, Unreliable,
                                  VertexInput, VertexUpdate)
 from repro.live import wire as wire_mod
-from repro.live.wire import (ChannelEvidence, Collect, FetchStore,
-                             FinalReport, PeerDown, Shutdown, StoreLoad,
-                             StoreWrite, Wire, WorkerError, WorkerSpec)
+from repro.live.wire import (Collect, FetchStore, FinalReport, PeerDown,
+                             Shutdown, StoreLoad, StoreWrite, Wire,
+                             WorkerError, WorkerSpec)
 from repro.streams.model import ADD_EDGE, StreamTuple
 
 UPDATE = VertexUpdate("main", "u", "v", 4,
                       SSSPValue(2.0, {"s": 2.0}, {"v": 1.0}, {"w"}))
 PREPARE = Prepare("main", "u", "v", Timestamp(17, "proc-1"))
 ACK = Acknowledge("main", "v", "u", 4)
+#: A worker's channel counts: payload frames sent per channel out,
+#: received per channel in.
+CHANNELS = ((("proc-1", 412),), (("master", 37), ("proc-1", 398)))
 
 #: One realistic exemplar per message class (order matches the modules).
 VOCABULARY = [
@@ -61,7 +64,7 @@ VOCABULARY = [
                    {0: (1, 2, 2), 1: (4, 5, 5)}, float("inf"),
                    inputs_gathered=7, busy_time=0.25,
                    unacked=0, buffered=0,
-                   vertex_load=(("u", 3.0),)),
+                   vertex_load=(("u", 3.0),), channels=CHANNELS),
     IterationTerminated("main", 5),
     ForkBranch("branch-1", 6, 2, full_activation=True),
     StopLoop("branch-1"),
@@ -81,15 +84,10 @@ VOCABULARY = [
     Unreliable(ProgressReport("main", "proc-0", 1, {}, float("inf"))),
 ]
 
-EVIDENCE = ChannelEvidence("proc-0", 11, (("proc-1", 412),),
-                           (("master", 37), ("proc-1", 398)))
-
 WIRE_VOCABULARY = [
     Wire("proc-0", "proc-1", 99, Envelope(7, UPDATE)),
-    EVIDENCE,
-    # The flush frame carries the evidence of the report behind it.
     StoreWrite("proc-0", 3, (("main", "u", 4, ("x", ("v",))),),
-               (("main", 4),), evidence=EVIDENCE),
+               (("main", 4),)),
     FetchStore("proc-1"),
     StoreLoad((("main", "u", 4, ("x", ("v",))),)),
     PeerDown("proc-1"),
@@ -98,8 +96,8 @@ WIRE_VOCABULARY = [
                 (("main", (3, 2, 2, 0, 5)),),
                 (("protocol.commit:main", 3),), 120, 0, 0,
                 frames_in=450, frames_out=61,
-                channel_sent=EVIDENCE.sent,
-                channel_received=EVIDENCE.received),
+                channel_sent=CHANNELS[0],
+                channel_received=CHANNELS[1]),
     Shutdown(),
     WorkerError("proc-2", 0, "Traceback (most recent call last): ..."),
     WorkerSpec("proc-0", 1,
