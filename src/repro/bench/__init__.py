@@ -14,7 +14,6 @@ from repro.bench.skew import run_skew
 from repro.bench.table1 import run_table1
 from repro.bench.table2 import run_fig8a, run_table2
 from repro.bench.table3 import run_table3
-from repro.bench.tenants import run_tenants
 from repro.bench.workloads import (MEDIUM, SMALL, Scale, kmeans_bundle,
                                    logreg_bundle, pagerank_bundle,
                                    sssp_bundle, svm_bundle)
@@ -46,7 +45,6 @@ __all__ = [
     "run_table1",
     "run_table2",
     "run_table3",
-    "run_tenants",
     "sssp_bundle",
     "svm_bundle",
 ]

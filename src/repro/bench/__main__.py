@@ -10,8 +10,6 @@ Usage::
                                           # migration vs no rebalancing
     python -m repro.bench live            # multiprocessing backend scaling
                                           # (merges into BENCH_perf.json)
-    python -m repro.bench tenants --quick # zipf multi-tenant JobManager
-                                          # (merges into BENCH_perf.json)
 """
 
 from __future__ import annotations
@@ -25,8 +23,7 @@ from repro.bench import (MEDIUM, SMALL, run_ablation_activation,
                          run_failure_figure, run_fig5, run_fig6a,
                          run_fig6b, run_fig7a, run_fig7b, run_fig8a,
                          run_fig8b, run_fig9, run_live_bench,
-                         run_skew, run_table1, run_table2, run_table3,
-                         run_tenants)
+                         run_skew, run_table1, run_table2, run_table3)
 from repro.bench.harness import ExperimentResult
 
 
@@ -53,11 +50,10 @@ def _experiments(scale, trace: bool = False, quick: bool = False
         "ablation-activation": lambda: run_ablation_activation(scale),
         "ablation-sampling": lambda: run_ablation_sampling(scale),
         "ablation-storage": lambda: run_ablation_storage(scale),
-        # Wall-clock benchmarks; write/merge BENCH_perf.json.  Only run
-        # when asked for by name (see main below): unlike the rest they
-        # measure the host machine, not the simulated cluster.
+        # Wall-clock benchmark; writes/merges BENCH_perf.json.  Only run
+        # when asked for by name (see main below): unlike the rest it
+        # measures the host machine, not the simulated cluster.
         "live": lambda: run_live_bench(quick=quick),
-        "tenants": lambda: run_tenants(quick=quick),
     }
 
 
@@ -69,7 +65,6 @@ def main(argv: list[str]) -> int:
     experiments = _experiments(scale, trace=trace, quick=quick)
     if not wanted:
         experiments.pop("live")
-        experiments.pop("tenants")
     if wanted:
         unknown = [w for w in wanted
                    if not any(k.startswith(w) for k in experiments)]

@@ -16,7 +16,7 @@ from typing import Any, Iterable
 import numpy as np
 
 #: Top-level sections of ``BENCH_perf.json``, one per bench writer.
-BENCH_SECTIONS = ("live", "tenants")
+BENCH_SECTIONS = ("live",)
 
 
 def merge_bench_json(json_path: str,

@@ -5,9 +5,9 @@ DESIGN.md §3e for the fault vocabulary and oracle definitions.
 """
 
 from repro.chaos.campaign import (CampaignReport, ChaosOutcome,
-                                  MultiTenantWorkload, PageRankWorkload,
-                                  SSSPWorkload, StormWorkload,
-                                  default_workloads, run_campaign, shrink)
+                                  PageRankWorkload, SSSPWorkload,
+                                  StormWorkload, default_workloads,
+                                  run_campaign, shrink)
 from repro.chaos.faults import (apply_to_cluster, apply_to_job,
                                 fault_windows)
 from repro.chaos.oracles import (FrontierProbe, OracleResult,
@@ -18,8 +18,8 @@ from repro.chaos.schedule import (ChaosSchedule, FaultMenu, FaultSpec,
 
 __all__ = [
     "CampaignReport", "ChaosOutcome", "ChaosSchedule", "FaultMenu",
-    "FaultSpec", "FrontierProbe", "KINDS", "MultiTenantWorkload",
-    "OracleResult", "PageRankWorkload", "SSSPWorkload", "StormWorkload",
+    "FaultSpec", "FrontierProbe", "KINDS", "OracleResult",
+    "PageRankWorkload", "SSSPWorkload", "StormWorkload",
     "acker_conservation", "apply_to_cluster", "apply_to_job",
     "default_workloads", "exactness", "fault_windows",
     "generate_schedule", "liveness", "manifest_consistency",

@@ -25,8 +25,7 @@ from repro.chaos.faults import (apply_to_cluster, apply_to_job,
                                 fault_windows)
 from repro.chaos.schedule import (ChaosSchedule, FaultMenu, FaultSpec,
                                   generate_schedule)
-from repro.core import (Application, JobManager, TenantQuota, TenantSpec,
-                        TornadoConfig, TornadoJob, run_solo)
+from repro.core import Application, TornadoConfig, TornadoJob
 from repro.core.messages import MAIN_LOOP
 from repro.errors import QueryError, SimulationError
 from repro.obs import TraceRecorder
@@ -294,195 +293,6 @@ class PageRankWorkload(TornadoWorkload):
                 for vertex, value in values.items()}
 
 
-# ================================================ multi-tenant workload
-class MultiTenantWorkload:
-    """Two tenants on one :class:`~repro.core.JobManager`: tenant A
-    ("chaotic" — SSSP with a planted hot spot and the live migrator on,
-    disk-backed) takes the whole fault schedule; tenant B ("clean")
-    shares only the pool.  The headline oracle is isolation: whatever
-    the schedule does to A, B's flight-recorder digest and final state
-    must stay byte-identical to B run solo on its own cluster.  A is
-    still judged by the usual exact-recovery oracles."""
-
-    name = "tenants"
-    #: A runs past the campaign horizon so post-heal recovery can drain.
-    HORIZON_A = HORIZON + 2.0
-    HORIZON_B = 2.5
-
-    def __init__(self, job_seed: int = 7,
-                 planted_restart_skew: int = 0) -> None:
-        self.job_seed = job_seed
-        self.planted_restart_skew = planted_restart_skew
-        self.edges = ring_chord_graph()
-        self.source = "v0"
-        self._golden: dict | None = None
-        self._solo_b: tuple[str, dict] | None = None
-
-    # ------------------------------------------------------------ specs
-    def _application(self) -> Application:
-        return Application(SSSPProgram(self.source), EdgeStreamRouter(),
-                           name="sssp")
-
-    def reference(self) -> dict:
-        return {v: d for v, d in
-                reference_sssp(self.edges, self.source).items()
-                if not math.isinf(d)}
-
-    def extract(self, values: dict) -> dict:
-        out = {}
-        for vertex, value in values.items():
-            distance = getattr(value, "distance", value)
-            if not math.isinf(distance):
-                out[vertex] = distance
-        return out
-
-    def _spec_a(self) -> TenantSpec:
-        config = TornadoConfig(
-            seed=self.job_seed, n_processors=3, report_interval=0.01,
-            retransmit_timeout=0.1, storage_backend="disk",
-            delay_bound=65536, merge_policy="never", trace_enabled=True,
-            trace_capacity=200_000, rebalance_enabled=True,
-            rebalance_factor=1.5, rebalance_min_gap=0.005,
-            rebalance_cooldown=0.1)
-        return TenantSpec(
-            tenant="chaotic", app_factory=self._application,
-            config=config, quota=TenantQuota(max_processors=3),
-            feeds=tuple(edge_stream(self.edges, UniformRate(rate=1000.0))),
-            query_times=((T_MID, True),), horizon=self.HORIZON_A)
-
-    def _spec_b(self) -> TenantSpec:
-        config = TornadoConfig(
-            seed=self.job_seed + 101, n_processors=2,
-            report_interval=0.01, storage_backend="memory",
-            merge_policy="never", trace_enabled=True,
-            trace_capacity=200_000)
-        return TenantSpec(
-            tenant="clean", app_factory=self._application, config=config,
-            quota=TenantQuota(max_processors=2),
-            feeds=tuple(edge_stream(self.edges, UniformRate(rate=1000.0))),
-            query_times=((T_MID, True),), horizon=self.HORIZON_B)
-
-    def menu(self) -> FaultMenu:
-        processors = tuple(f"proc-{i}" for i in range(3))
-        return FaultMenu(
-            kill_targets=processors + (TornadoJob.MASTER,),
-            link_endpoints=processors + (TornadoJob.MASTER,),
-            disks=processors,
-            transport_chaos=True,
-        )
-
-    # ------------------------------------------------------------- runs
-    def golden(self) -> dict:
-        """Tenant A's values from a fault-free managed run (cached)."""
-        if self._golden is None:
-            final = self._execute(
-                ChaosSchedule(seed=0, faults=[]))["a_final"]
-            if final is None:
-                raise SimulationError(
-                    f"golden run of {self.name} did not complete")
-            self._golden = final
-        return self._golden
-
-    def solo_b(self) -> tuple[str, dict]:
-        """Tenant B alone on its own cluster: the isolation reference."""
-        if self._solo_b is None:
-            job = run_solo(self._spec_b())
-            self._solo_b = (job.trace.digest(),
-                            self.extract(job.main_values()))
-        return self._solo_b
-
-    def run_chaos(self, schedule: ChaosSchedule) -> ChaosOutcome:
-        run = self._execute(schedule)
-        golden = self.golden()
-        solo_digest, solo_values = self.solo_b()
-        results = [
-            oracles.OracleResult(
-                "tenant-isolation-digest",
-                run["b_digest"] == solo_digest,
-                "" if run["b_digest"] == solo_digest else
-                f"clean tenant diverged: {run['b_digest'][:16]} != "
-                f"solo {solo_digest[:16]}"),
-            oracles.exactness("tenant-isolation-state",
-                              run["b_values"], solo_values),
-            _tag("clean", run["probe_b"].check()),
-            _tag("clean", oracles.manifest_consistency(
-                run["b_manifest"], run["b_terms"])),
-            _tag("clean", oracles.liveness(
-                run["b_terms"].get(MAIN_LOOP, []), [],
-                completed=run["b_done"], gap_bound=LIVENESS_GAP)),
-            _tag("chaotic", run["probe_a"].check()),
-            _tag("chaotic", oracles.manifest_consistency(
-                run["a_manifest"], run["a_terms"])),
-            _tag("chaotic", oracles.liveness(
-                run["a_terms"].get(MAIN_LOOP, []),
-                fault_windows(schedule, pad=LIVENESS_PAD),
-                completed=run["a_final"] is not None,
-                gap_bound=LIVENESS_GAP)),
-        ]
-        if run["a_final"] is not None:
-            results.append(oracles.exactness(
-                "exactness-vs-golden", run["a_final"], golden))
-            results.append(oracles.exactness(
-                "exactness-vs-reference", run["a_final"],
-                self.reference()))
-        outcome = ChaosOutcome(self.name, schedule, results,
-                               run["digest"])
-        if not outcome.passed:
-            outcome.trace_dump = run["trace_dump"]
-        return outcome
-
-    def _execute(self, schedule: ChaosSchedule) -> dict:
-        manager = JobManager(pool_size=5, window=SLICE)
-        rec_a = manager.submit(self._spec_a())
-        rec_b = manager.submit(self._spec_b())
-        rec_a.job.manifest.planted_restart_skew = self.planted_restart_skew
-        # Hot spot: every vertex of A starts on proc-0, so each run
-        # migrates for real while the faults land (PR 4 stress).
-        vertices = sorted({v for edge in self.edges for v in edge})
-        rec_a.job.partition.reassign_batch(
-            [(vertex, "proc-0") for vertex in vertices])
-        apply_to_job(rec_a.job, schedule)
-        probe_a = oracles.FrontierProbe(rec_a.job.manifest, MAIN_LOOP)
-        probe_b = oracles.FrontierProbe(rec_b.job.manifest, MAIN_LOOP)
-        while manager.round_robin_once():
-            probe_a.sample(rec_a.job.sim.now)
-            probe_b.sample(rec_b.job.sim.now)
-        # Post-heal drain + final query for A only — B must see no
-        # driver op its solo reference run would not see.
-        a_final = None
-        try:
-            rec_a.job.run_for(0.5)
-            result = rec_a.job.wait_for_query(
-                rec_a.job.query(full_activation=True),
-                max_events=2_000_000)
-            a_final = self.extract(result.values)
-        except (QueryError, SimulationError):
-            pass  # liveness oracle reports the incomplete run
-        b_done = (rec_b.state == "done"
-                  and not manager.unresolved_queries("clean"))
-        return {
-            "a_final": a_final,
-            "a_manifest": rec_a.job.manifest,
-            "a_terms": rec_a.job.master.termination_times,
-            "probe_a": probe_a,
-            "b_digest": rec_b.job.trace.digest(),
-            "b_values": self.extract(rec_b.job.main_values()),
-            "b_manifest": rec_b.job.manifest,
-            "b_terms": rec_b.job.master.termination_times,
-            "probe_b": probe_b,
-            "b_done": b_done,
-            "digest": (rec_a.job.trace.digest() + "/"
-                       + rec_b.job.trace.digest()),
-            "trace_dump": manager.merged_dump(),
-        }
-
-
-def _tag(prefix: str, result: oracles.OracleResult) -> oracles.OracleResult:
-    """Prefix an oracle name with the tenant it judged."""
-    return oracles.OracleResult(f"{prefix}:{result.oracle}",
-                                result.passed, result.detail)
-
-
 # ======================================================= storm workload
 class ReplaySpout(Spout):
     """Emits ``n_tuples`` words; replays any message id not acked within
@@ -665,7 +475,6 @@ def default_workloads(planted_restart_skew: int = 0) -> list:
         PageRankWorkload(planted_restart_skew=planted_restart_skew),
         MigrationWorkload(planted_restart_skew=planted_restart_skew),
         StormWorkload(),
-        MultiTenantWorkload(planted_restart_skew=planted_restart_skew),
     ]
 
 

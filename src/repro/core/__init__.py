@@ -8,13 +8,11 @@
   :class:`VertexContext`, :class:`Application`.
 """
 
-from repro.core.config import TenantQuota, TornadoConfig
+from repro.core.config import TornadoConfig
 from repro.core.dsl import (Algebra, AlgebraicProgram, min_label,
                             reachability, shortest_paths, widest_path)
 from repro.core.ingester import Ingester
 from repro.core.job import QueryResult, ScheduledQuery, TornadoJob
-from repro.core.jobmanager import (JobManager, ProcessorPool, TenantRecord,
-                                   TenantSpec, run_solo)
 from repro.core.lamport import LamportClock, Timestamp
 from repro.core.master import BranchRecord, Master, MasterDurableState
 from repro.core.messages import MAIN_LOOP, branch_name
@@ -40,7 +38,6 @@ __all__ = [
     "Delta",
     "Ingester",
     "InputRouter",
-    "JobManager",
     "LamportClock",
     "LoopState",
     "MAIN_LOOP",
@@ -48,20 +45,15 @@ __all__ = [
     "MasterDurableState",
     "PartitionScheme",
     "Processor",
-    "ProcessorPool",
     "ProgressTracker",
     "QueryResult",
     "ScheduledQuery",
     "ReliableEndpoint",
     "SendAck",
     "SendPrepare",
-    "TenantQuota",
-    "TenantRecord",
-    "TenantSpec",
     "Timestamp",
     "TornadoConfig",
     "TornadoJob",
-    "run_solo",
     "VertexContext",
     "VertexProgram",
     "VertexProtocol",

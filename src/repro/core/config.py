@@ -1,4 +1,4 @@
-"""Runtime configuration for a Tornado job (and per-tenant quotas)."""
+"""Runtime configuration for a Tornado job."""
 
 from __future__ import annotations
 
@@ -6,46 +6,6 @@ import math
 from dataclasses import dataclass
 
 from repro.errors import ConfigError
-
-
-@dataclass(frozen=True)
-class TenantQuota:
-    """Admission-control limits for one tenant of a shared processor pool
-    (:class:`repro.core.jobmanager.JobManager`).
-
-    The quota is checked at submission time (``max_processors`` against
-    the pool lease) and continuously while the tenant runs: branch-loop
-    forks beyond ``max_branches`` queue or shed exactly like the
-    single-job admission path, feeds beyond ``max_pending_inputs`` raise
-    :class:`~repro.errors.BackpressureError` at the ingester, and a store
-    footprint past ``max_store_bytes`` first triggers a GC and then
-    evicts the tenant.
-    """
-
-    #: Weighted-round-robin share of dispatch windows (≥ 1).
-    weight: int = 1
-    #: Most pool slots (processors) this tenant may lease.
-    max_processors: int = 4
-    #: Concurrent branch loops (tightens the job's own
-    #: ``max_concurrent_branches`` — never loosens it).
-    max_branches: int = 8
-    #: Scheduled-but-not-ingested stream tuples before ``feed`` pushes
-    #: back (the per-tenant ingester backpressure bound).
-    max_pending_inputs: int = 100_000
-    #: Approximate versioned-store footprint before GC, then eviction.
-    max_store_bytes: int = 1 << 30
-
-    def __post_init__(self) -> None:
-        if self.weight < 1:
-            raise ConfigError("weight must be >= 1")
-        if self.max_processors < 1:
-            raise ConfigError("max_processors must be >= 1")
-        if self.max_branches < 1:
-            raise ConfigError("max_branches must be >= 1")
-        if self.max_pending_inputs < 1:
-            raise ConfigError("max_pending_inputs must be >= 1")
-        if self.max_store_bytes < 1:
-            raise ConfigError("max_store_bytes must be >= 1")
 
 
 @dataclass
@@ -61,10 +21,6 @@ class TornadoConfig:
     n_processors: int = 4
     n_nodes: int = 4
     seed: int = 0
-    #: Tenant namespace label when the job runs under a
-    #: :class:`~repro.core.jobmanager.JobManager` ("" = single-tenant).
-    #: Prefixes the tenant's stream in merged flight-recorder dumps.
-    tenant: str = ""
 
     # ------------------------------------------------------------- backend
     #: Execution backend.  "sim" (default) runs everything on the
@@ -134,14 +90,6 @@ class TornadoConfig:
     rebalance_cooldown: float = 1.0
     #: Most vertices a single live-migration plan may move.
     migration_max_batch: int = 16
-    #: Weight of the critical-path feedback term in the migration
-    #: planner's cost model: per-processor criticality scores (fed back
-    #: from a :class:`repro.obs.critical_path.CriticalPathReport` via
-    #: :meth:`~repro.core.master.Master.apply_criticality`) inflate a
-    #: processor's estimated load by ``1 + weight * score``.  0 (the
-    #: default) disables the term — byte-identical planning either way
-    #: until scores are actually applied.
-    migration_criticality_weight: float = 0.0
 
     # ------------------------------------------------------- observability
     #: Enable the flight recorder (repro.obs.TraceRecorder).  Off by
@@ -198,8 +146,7 @@ class TornadoConfig:
         if not (self.rebalance_factor > 0
                 and math.isfinite(self.rebalance_factor)):
             raise ConfigError("rebalance_factor must be > 0 and finite")
-        for name in ("rebalance_min_gap", "rebalance_cooldown",
-                     "migration_criticality_weight"):
+        for name in ("rebalance_min_gap", "rebalance_cooldown"):
             value = getattr(self, name)
             if not (value >= 0 and math.isfinite(value)):
                 raise ConfigError(f"{name} must be >= 0 and finite")

@@ -54,8 +54,8 @@ class Ingester(Actor):
 
     # -------------------------------------------------------------- feeding
     def pending_inputs(self) -> int:
-        """Stream tuples scheduled for delivery but not yet ingested (the
-        per-tenant backpressure signal)."""
+        """Stream tuples scheduled for delivery but not yet ingested (what
+        :meth:`schedule_stream`'s ``max_pending`` bound checks)."""
         return self.tuples_scheduled - self.tuples_ingested
 
     def schedule_stream(self, tuples: Iterable[StreamTuple],

@@ -183,9 +183,10 @@ class TornadoJob:
         """Arm a query to be issued *inside the simulation* at virtual
         time ``at``.  Unlike :meth:`query` (which issues at whatever
         instant the driver happens to call it), a scheduled query is part
-        of the event timeline — a job replayed solo or interleaved under
-        a JobManager issues it at exactly the same instant, which is what
-        keeps the flight-recorder digest identical across both runs."""
+        of the event timeline — a job replayed, or advanced in
+        ``run(until=...)`` slices, issues it at exactly the same instant,
+        which is what keeps the flight-recorder digest identical across
+        those runs."""
         handle = ScheduledQuery(at=at, full_activation=full_activation)
         self.sim.schedule_at(max(self.sim.now, at),
                              self._issue_scheduled_query, handle)

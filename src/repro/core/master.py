@@ -93,7 +93,6 @@ class Master(Actor):
         #: loop -> [(iteration, virtual time it terminated)]
         self.termination_times: dict[str, list[tuple[int, float]]] = {}
         # ------------------------------------------------ load balancing
-        self._busy: dict[str, float] = {}
         self._last_rebalance = float("-inf")
         self.rebalances = 0
         self.planner = MigrationPlanner(config)
@@ -101,10 +100,6 @@ class Master(Actor):
         # drops them and the ingester's retransmissions re-enter them).
         self._query_backlog: list[QueryRequest] = []
         self.queries_shed = 0
-        #: Effective branch-admission cap.  Starts at the config value; a
-        #: JobManager tightens it to the tenant's quota via
-        #: :meth:`set_branch_limit` (never loosened past the config).
-        self.branch_limit = config.max_concurrent_branches
 
     # ------------------------------------------------------------ dispatch
     def handle(self, message: Any, sender: str) -> float:
@@ -151,7 +146,6 @@ class Master(Actor):
         if record is not None and not record.done and tracker.converged:
             self._finish_branch(record, tracker)
         if report.loop == MAIN_LOOP:
-            self._busy[report.processor] = report.busy_time
             self.planner.observe(report.processor, report.busy_time,
                                  self.sim.now, report.vertex_load)
             self._maybe_rebalance()
@@ -231,7 +225,8 @@ class Master(Actor):
                    for q in self._query_backlog):
                 self._query_backlog.append(query)
             return self.config.master_cost
-        if self._active_branch_count() >= self.branch_limit:
+        if (self._active_branch_count()
+                >= self.config.max_concurrent_branches):
             if self.config.branch_admission == "shed":
                 self.durable.seen_queries.add(query.query_id)
                 self.queries_shed += 1
@@ -310,13 +305,9 @@ class Master(Actor):
     def _drain_query_backlog(self) -> None:
         while (self._query_backlog
                and self.durable.migration is None
-               and self._active_branch_count() < self.branch_limit):
+               and self._active_branch_count()
+               < self.config.max_concurrent_branches):
             self._start_branch(self._query_backlog.pop(0))
-
-    def set_branch_limit(self, limit: int) -> None:
-        """Tighten the branch-admission cap (per-tenant quota); the config
-        value stays the ceiling."""
-        self.branch_limit = min(limit, self.config.max_concurrent_branches)
 
     # ------------------------------------------------------------ recovery
     def _handle_processor_recovered(self, msg: ProcessorRecovered) -> float:
@@ -329,7 +320,6 @@ class Master(Actor):
             tracker.forget_all()
         # Its busy counter restarted: stale load snapshots must not drive
         # the next rebalance decision.
-        self._busy.pop(msg.processor, None)
         self.planner.forget(msg.processor)
         loops = [(MAIN_LOOP, self.manifest.restart_iteration(MAIN_LOOP))]
         for loop, record in self.durable.branches.items():
@@ -404,7 +394,6 @@ class Master(Actor):
         self.trackers = {}
         # Load stats are in-memory only; a restarted master restarts the
         # observation window from scratch.
-        self._busy = {}
         self.planner = MigrationPlanner(self.config)
 
     def on_recover(self) -> None:
@@ -427,23 +416,9 @@ class Master(Actor):
                             tag="migration")
 
     # -------------------------------------------------------------- helpers
-    def total_busy_time(self) -> float:
-        """Cumulative busy time across all processors as last reported
-        (the JobManager's per-tenant load signal)."""
-        return sum(self._busy.values())
-
     def busy_rates(self) -> dict[str, float]:
         """The planner's per-processor windowed busy rates."""
         return self.planner.rates()
-
-    def apply_criticality(self, scores: dict[str, float]) -> None:
-        """Feed per-processor critical-path scores (from
-        :meth:`repro.obs.critical_path.CriticalPathReport.
-        processor_scores`) into the migration planner's cost model — a
-        no-op unless ``config.migration_criticality_weight > 0``.  The
-        scores are in-memory only (like the rest of the load stats), so a
-        master restart drops them."""
-        self.planner.set_criticality(scores)
 
     def _broadcast(self, payload: Any, tag: str | None = None) -> None:
         for processor in self.processors:

@@ -43,10 +43,6 @@ class MigrationPlanner:
         self._busy_rate: dict[str, float] = {}
         #: vertex -> gather weight, per processor (last report wins).
         self._vertex_load: dict[str, dict[Any, int]] = {}
-        #: Per-processor critical-path scores (fraction of the critical
-        #: path spent on that processor), applied via
-        #: :meth:`set_criticality`.  Empty = no feedback.
-        self._criticality: dict[str, float] = {}
 
     # ------------------------------------------------------------ feeding
     def observe(self, processor: str, busy_time: float, now: float,
@@ -91,16 +87,6 @@ class MigrationPlanner:
         self._busy_rate.pop(processor, None)
         self._vertex_load.pop(processor, None)
 
-    def set_criticality(self, scores: dict[str, float]) -> None:
-        """Feed per-processor critical-path scores (from a
-        :class:`repro.obs.critical_path.CriticalPathReport`) into the
-        cost model: with ``migration_criticality_weight > 0``, a
-        processor that dominated the critical path looks proportionally
-        hotter to :meth:`plan`, so its vertices move first.  Passing an
-        empty dict clears the feedback."""
-        self._criticality = {name: max(0.0, float(score))
-                             for name, score in scores.items()}
-
     # ----------------------------------------------------------- planning
     def imbalanced(self, processors: list[str]) -> bool:
         """The trigger condition, evaluated on windowed rates: every
@@ -121,13 +107,6 @@ class MigrationPlanner:
         if not self.imbalanced(processors):
             return ()
         est = {name: self._busy_rate[name] for name in processors}
-        weight = self.config.migration_criticality_weight
-        if weight > 0 and self._criticality:
-            # Critical-path feedback: time on the critical path hurts
-            # end-to-end latency one-for-one, so criticality inflates the
-            # estimated load beyond what busy rate alone reports.
-            for name in processors:
-                est[name] *= 1.0 + weight * self._criticality.get(name, 0.0)
         moves: list[tuple[Any, str, str]] = []
         sources = sorted(processors, key=lambda p: (-est[p], p))
         for source in sources:

@@ -35,22 +35,10 @@ class QueryError(ReproError):
 
 
 class AdmissionError(QueryError):
-    """Multi-tenant admission control rejected a request.  Subclasses name
-    the rejection reason so callers (and tests) can react precisely."""
-
-
-class DuplicateTenantError(AdmissionError):
-    """A tenant id is already registered with the JobManager."""
-
-
-class PoolExhaustedError(AdmissionError):
-    """The shared processor pool has too few free slots for the request."""
-
-
-class QuotaExceededError(AdmissionError):
-    """A submission or running tenant exceeded its per-tenant quota."""
+    """Admission control rejected a request.  Subclasses name the
+    rejection reason so callers (and tests) can react precisely."""
 
 
 class BackpressureError(AdmissionError):
-    """A tenant's ingest backlog is over its pending-input quota; the
-    caller should retry after the tenant's ingester drains."""
+    """An ingest backlog is over its pending-input bound; the caller
+    should retry after the ingester drains."""

@@ -361,24 +361,6 @@ class LiveJob(TornadoJob):
                     + self.diagnostics())
             self._wait(remaining)
 
-    def pump_slice(self, passes: int = 64) -> int:
-        """Bounded pump slice for a JobManager interleaving several live
-        tenants: up to ``passes`` pump passes, stopping early when idle
-        (parked feeds are released once, then the slice yields).  Never
-        blocks.  Returns the number of passes that did work."""
-        self._wait(0.0)     # dead workers only; the passes take the frames
-        worked = 0
-        released = False
-        for _ in range(passes):
-            if self._pump_once():
-                worked += 1
-                continue
-            if not released and self._release_parked():
-                released = True
-                continue
-            break
-        return worked
-
     def pump_for(self, seconds: float) -> None:
         """Pump the deployment for a wall-clock duration (the live
         analogue of ``run_for`` — used to get a run mid-flight before

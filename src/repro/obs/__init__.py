@@ -17,12 +17,10 @@ extraction (:mod:`repro.obs.critical_path`).
 from repro.obs.critical_path import (CriticalPathReport, PathSegment,
                                      WindowPath, extract_critical_path)
 from repro.obs.metrics import (Counter, Gauge, Histogram, MetricsRegistry)
-from repro.obs.report import (merged_phase_counts, phase_counts,
-                              render_phase_table, render_tenant_digests,
+from repro.obs.report import (phase_counts, render_phase_table,
                               termination_timeline)
-from repro.obs.trace import (TraceEvent, TraceRecorder, merge_dumps,
-                             merge_named_dumps, parse_dump,
-                             parse_dump_line, split_named_dump)
+from repro.obs.trace import (TraceEvent, TraceRecorder, parse_dump,
+                             parse_dump_line)
 
 __all__ = [
     "Counter",
@@ -35,14 +33,9 @@ __all__ = [
     "TraceRecorder",
     "WindowPath",
     "extract_critical_path",
-    "merge_dumps",
-    "merge_named_dumps",
-    "merged_phase_counts",
     "parse_dump",
     "parse_dump_line",
     "phase_counts",
     "render_phase_table",
-    "render_tenant_digests",
-    "split_named_dump",
     "termination_timeline",
 ]

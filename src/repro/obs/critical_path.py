@@ -31,8 +31,8 @@ Transient paths aggregate into criticality scores: the fraction of total
 critical-path time spent in each phase (:meth:`CriticalPathReport.
 phase_scores`), on each inter-processor link (:meth:`~CriticalPathReport.
 link_scores` — which network hops dominate) and on each actor
-(:meth:`~CriticalPathReport.processor_scores` — the migration planner's
-input via :meth:`repro.core.master.Master.apply_criticality`).
+(:meth:`~CriticalPathReport.processor_scores` — which processor the
+path waits on).
 """
 
 from __future__ import annotations
@@ -127,8 +127,7 @@ class CriticalPathReport:
 
     def processor_scores(self) -> dict[str, float]:
         """Fraction of critical-path time on each actor (link time is
-        the wire's, attributed to no actor) — the input to
-        :meth:`repro.core.master.Master.apply_criticality`."""
+        the wire's, attributed to no actor)."""
         return self._scores("phase", lambda seg: seg.actor)
 
     def top_link(self) -> tuple[str, str] | None:
@@ -215,8 +214,8 @@ def extract_critical_path(events: TraceRecorder | Iterable[TraceEvent],
     """Extract per-iteration transient critical paths for ``loop``.
 
     ``events`` is a :class:`~repro.obs.trace.TraceRecorder` or any
-    iterable of :class:`~repro.obs.trace.TraceEvent` (e.g. a parsed
-    tenant slice of a merged dump).  Communication edges require the
+    iterable of :class:`~repro.obs.trace.TraceEvent` (e.g. the parsed
+    lines of a saved dump).  Communication edges require the
     trace to contain ``net.send`` events — run the job with
     ``TornadoConfig(trace_enabled=True, trace_links=True)``; without
     them the path never leaves the anchor's actor.

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.obs.trace import (TraceEvent, TraceRecorder, parse_dump,
-                             split_named_dump)
+from repro.obs.trace import TraceEvent, TraceRecorder
 
 PHASES = ("update", "prepare", "ack", "commit")
 
@@ -24,12 +23,9 @@ def phase_counts(recorder: TraceRecorder | Iterable[TraceEvent],
     """Protocol-phase event counts keyed by ``(loop, iteration)``.
 
     Accepts a live :class:`TraceRecorder` or any iterable of
-    :class:`TraceEvent` (e.g. one tenant's slice of a merged dump, via
-    :func:`merged_phase_counts`).  Loop names are only unique *within*
-    one recorder's stream — counting a merged multi-tenant dump directly
-    would fold every tenant's ``main`` loop into one row, so merged
-    dumps must be split per tenant first (:func:`merged_phase_counts`
-    does exactly that).
+    :class:`TraceEvent` (e.g. a saved dump read back with
+    :func:`~repro.obs.trace.parse_dump`).  Loop names are only unique
+    *within* one recorder's stream, so count one job's events at a time.
 
     Only events still retained by the ring are counted; under sustained
     load the table therefore describes the *recent* window, which is what
@@ -59,27 +55,6 @@ def phase_counts(recorder: TraceRecorder | Iterable[TraceEvent],
     return dict(sorted(table.items()))
 
 
-def merged_phase_counts(merged_dump: str, tenant: str | None = None,
-                        loop: str | None = None
-                        ) -> dict[tuple[str, str, int], dict[str, int]]:
-    """Protocol-phase counts over a merged multi-tenant dump
-    (:func:`repro.obs.trace.merge_named_dumps`), keyed by
-    ``(tenant, loop, iteration)``.
-
-    The tenant prefix partitions the lines *before* the loop filter is
-    applied, so the two filters compose: ``loop="main"`` counts each
-    tenant's own main loop separately instead of bleeding all tenants'
-    phases into one row.
-    """
-    table: dict[tuple[str, str, int], dict[str, int]] = {}
-    for name, dump in split_named_dump(merged_dump).items():
-        if tenant is not None and name != tenant:
-            continue
-        for key, row in phase_counts(parse_dump(dump), loop=loop).items():
-            table[(name,) + key] = row
-    return dict(sorted(table.items()))
-
-
 def render_phase_table(recorder: TraceRecorder,
                        loop: str | None = None) -> str:
     """Aligned text table of :func:`phase_counts`."""
@@ -88,21 +63,6 @@ def render_phase_table(recorder: TraceRecorder,
               "commits"]
     rows = [[key[0], str(key[1])] + [str(row[phase]) for phase in PHASES]
             for key, row in table.items()]
-    widths = [max(len(header[i]), *(len(r[i]) for r in rows))
-              if rows else len(header[i]) for i in range(len(header))]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths)),
-             "  ".join("-" * w for w in widths)]
-    lines.extend("  ".join(cell.ljust(w) for cell, w in zip(row, widths))
-                 for row in rows)
-    return "\n".join(lines)
-
-
-def render_tenant_digests(streams: dict[str, TraceRecorder]) -> str:
-    """Aligned text table of per-tenant flight-recorder digests and event
-    counts — the JobManager's isolation-report view."""
-    header = ["tenant", "events", "digest"]
-    rows = [[name, str(streams[name].recorded), streams[name].digest()]
-            for name in sorted(streams)]
     widths = [max(len(header[i]), *(len(r[i]) for r in rows))
               if rows else len(header[i]) for i in range(len(header))]
     lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths)),

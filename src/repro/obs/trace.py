@@ -25,7 +25,7 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import deque
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterator
 
 
 def _fmt(value: Any) -> str:
@@ -244,40 +244,3 @@ def parse_dump_line(line: str) -> TraceEvent:
 def parse_dump(dump: str) -> list[TraceEvent]:
     """Parse a full :meth:`TraceRecorder.dump` blob."""
     return [parse_dump_line(line) for line in dump.split("\n") if line]
-
-
-def split_named_dump(merged: str) -> dict[str, str]:
-    """Invert :func:`merge_named_dumps`: split a merged multi-tenant
-    dump back into per-tenant dump blobs keyed by stream name.  Each
-    returned blob is byte-identical to the tenant's own
-    :meth:`TraceRecorder.dump`, so per-tenant digests survive the round
-    trip."""
-    sections: dict[str, list[str]] = {}
-    for line in merged.split("\n"):
-        if not line:
-            continue
-        name, sep, rest = line.partition("|")
-        if not sep:
-            raise ValueError(f"line without stream prefix: {line!r}")
-        sections.setdefault(name, []).append(rest)
-    return {name: "\n".join(lines) for name, lines in sections.items()}
-
-
-def merge_dumps(recorders: Iterable[TraceRecorder]) -> str:
-    """Concatenate several recorders' dumps (e.g. one per job) into one
-    deterministic blob."""
-    return "\n--\n".join(recorder.dump() for recorder in recorders)
-
-
-def merge_named_dumps(streams: dict[str, TraceRecorder]) -> str:
-    """Concatenate per-tenant recorder dumps, each line prefixed with its
-    stream name, in sorted stream order — the JobManager's combined
-    flight-recorder view.  Per-stream slices of the result are exactly
-    the tenant's own dump, so the merged blob preserves each tenant's
-    digest oracle."""
-    sections = []
-    for name in sorted(streams):
-        dump = streams[name].dump()
-        lines = dump.split("\n") if dump else []
-        sections.append("\n".join(f"{name}|{line}" for line in lines))
-    return "\n".join(sections)

@@ -436,15 +436,15 @@ class VersionedStore:
         return out
 
     def approx_bytes(self) -> int:
-        """Deterministic footprint estimate for per-tenant store quotas.
+        """Deterministic footprint estimate of the store.
 
         A flat ~96 bytes per version (key ref + iteration + value ref +
         chain overhead), segment entries included, counting pending-log
-        entries without forcing a rebase, so probing the quota leaves the
-        store's rebase cadence untouched.  Values are held by reference,
-        so this intentionally ignores value payload sizes — the estimate
-        is stable across runs, which is what a quota check needs more
-        than physical precision.
+        entries without forcing a rebase, so probing the footprint leaves
+        the store's rebase cadence untouched.  Values are held by
+        reference, so this intentionally ignores value payload sizes —
+        the estimate is stable across runs, which is what a footprint
+        comparison needs more than physical precision.
         """
         return 96 * (self._segmented()
                      + sum(len(chain.iterations) + len(chain.pending)

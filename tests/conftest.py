@@ -1,19 +1,14 @@
 """Shared test fixtures.
 
-``make_job`` is the SSSP job factory formerly duplicated as
-``test_core_admission.make_job``; ``make_tenant_spec`` wraps the same
-setup as a :class:`repro.core.TenantSpec` recipe for the multi-tenant
-suites (tenancy, property, chaos), so a managed tenant and its solo
-reference run are built from one definition.
+``make_job`` is the small fed-and-running SSSP job factory shared by the
+admission, migration and observability suites.
 """
 
 import pytest
 
 from repro.algorithms.graph_common import EdgeStreamRouter
-from repro.algorithms.pagerank import PageRankProgram
 from repro.algorithms.sssp import SSSPProgram
-from repro.core import (Application, TenantQuota, TenantSpec,
-                        TornadoConfig, TornadoJob, reachability)
+from repro.core import Application, TornadoConfig, TornadoJob
 from repro.streams import UniformRate, edge_stream
 
 SSSP_EDGES = [("s", "a"), ("s", "b"), ("a", "c"), ("b", "c"), ("c", "d"),
@@ -22,23 +17,6 @@ SSSP_EDGES = [("s", "a"), ("s", "b"), ("a", "c"), ("b", "c"), ("c", "d"),
 
 def sssp_application() -> Application:
     return Application(SSSPProgram("s"), EdgeStreamRouter(), name="sssp")
-
-
-def pagerank_application() -> Application:
-    return Application(PageRankProgram(tolerance=1e-4), EdgeStreamRouter(),
-                       name="pagerank")
-
-
-def reachability_application() -> Application:
-    return Application(reachability("s"), EdgeStreamRouter(), name="reach")
-
-
-#: Mixed-workload app factories, keyed by the names the tenant suites use.
-TENANT_APPS = {
-    "sssp": sssp_application,
-    "pagerank": pagerank_application,
-    "reachability": reachability_application,
-}
 
 
 @pytest.fixture
@@ -64,31 +42,3 @@ def make_job():
         return job
 
     return factory
-
-
-def tenant_spec(tenant, seed=0, app="sssp", horizon=3.0,
-                query_times=((1.5, True),), quota=None, arrival=0,
-                **config_kwargs):
-    """Tenant recipe on the shared SSSP graph (or any app from
-    ``TENANT_APPS`` via ``app=``)."""
-    config_kwargs.setdefault("n_processors", 2)
-    config_kwargs.setdefault("report_interval", 0.01)
-    config_kwargs.setdefault("storage_backend", "memory")
-    config_kwargs.setdefault("trace_enabled", True)
-    config = TornadoConfig(seed=seed, **config_kwargs)
-    return TenantSpec(
-        tenant=tenant,
-        app_factory=TENANT_APPS[app],
-        config=config,
-        quota=quota if quota is not None else TenantQuota(
-            max_processors=config.n_processors),
-        feeds=tuple(edge_stream(SSSP_EDGES, UniformRate(rate=1000.0))),
-        query_times=query_times,
-        horizon=horizon,
-        arrival=arrival,
-    )
-
-
-@pytest.fixture
-def make_tenant_spec():
-    return tenant_spec

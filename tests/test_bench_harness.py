@@ -2,6 +2,7 @@
 
 import json
 
+from repro.bench import harness
 from repro.bench.harness import (ExperimentResult, ShapeCheck, flattens,
                                  merge_bench_json, monotone_decreasing,
                                  percentile)
@@ -77,8 +78,8 @@ class TestQuickExperiments:
         assert "fig5-sssp" in experiments
         assert "skew" in experiments
         assert "live" in experiments
-        assert "tenants" in experiments
-        assert len(experiments) == 21
+        assert "tenants" not in experiments
+        assert len(experiments) == 20
 
 
 class TestMergeBenchJson:
@@ -87,11 +88,11 @@ class TestMergeBenchJson:
 
     def test_section_write_preserves_siblings(self, tmp_path):
         path = str(tmp_path / "bench.json")
-        merge_bench_json(path, {"tenants": {"speedup": 7.0}})
+        merge_bench_json(path, {"other": {"speedup": 7.0}})
         merge_bench_json(path, {"live": {"speedup": 2.2}})
         with open(path, encoding="utf-8") as handle:
             data = json.load(handle)
-        assert data["tenants"] == {"speedup": 7.0}
+        assert data["other"] == {"speedup": 7.0}
         assert data["live"] == {"speedup": 2.2}
 
     def test_missing_or_corrupt_file_starts_clean(self, tmp_path):
@@ -103,23 +104,25 @@ class TestMergeBenchJson:
         payload = merge_bench_json(path, {"live": {"v": 2}})
         assert payload == {"live": {"v": 2}, "bench": "merged"}
 
-    def test_root_is_neutral_with_per_section_provenance(self, tmp_path):
+    def test_root_is_neutral_with_per_section_provenance(
+            self, tmp_path, monkeypatch):
         """The merged file must never masquerade as one writer's report:
         each section's own bench id is indexed by section name, and the
         provenance of earlier writers survives later ones."""
+        monkeypatch.setattr(harness, "BENCH_SECTIONS", ("live", "other"))
         path = str(tmp_path / "bench.json")
         merge_bench_json(path, {"bench": "someone", "quick": False,
-                                "tenants": {"bench": "tenants_zipf"}})
+                                "other": {"bench": "other_bench"}})
         payload = merge_bench_json(
             path, {"live": {"bench": "live", "speedup": 2.0}})
         assert payload["bench"] == "merged"
-        assert payload["sections"] == {"tenants": "tenants_zipf",
+        assert payload["sections"] == {"other": "other_bench",
                                        "live": "live"}
         assert payload["quick"] is False  # other top-level keys survive
 
     def test_output_is_deterministic(self, tmp_path):
         a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
-        merge_bench_json(a, {"tenants": {"x": 1}, "delta": {"y": 2}})
-        merge_bench_json(b, {"delta": {"y": 2}, "tenants": {"x": 1}})
+        merge_bench_json(a, {"other": {"x": 1}, "delta": {"y": 2}})
+        merge_bench_json(b, {"delta": {"y": 2}, "other": {"x": 1}})
         assert (open(a, encoding="utf-8").read()
                 == open(b, encoding="utf-8").read())

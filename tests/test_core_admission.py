@@ -1,18 +1,16 @@
 """Tests for branch-loop admission control, load shedding, and the
-multi-tenant JobManager's typed admission paths."""
+ingester's typed backpressure rejection."""
 
 import math
-import threading
 
 import pytest
 
 from repro.algorithms.sssp import reference_sssp
-from repro.core import JobManager, ProcessorPool, TenantQuota
-from repro.errors import (AdmissionError, BackpressureError,
-                          DuplicateTenantError, PoolExhaustedError,
-                          QueryError, QuotaExceededError)
+from repro.core import TornadoConfig, TornadoJob
+from repro.errors import AdmissionError, BackpressureError, QueryError
+from repro.streams import UniformRate, edge_stream
 
-from .conftest import SSSP_EDGES
+from .conftest import SSSP_EDGES, sssp_application
 
 
 def distances(values):
@@ -69,156 +67,45 @@ class TestAdmission:
         forked = [record.forked_at for record in records]
         assert forked == sorted(forked)
 
-    def test_tenant_branch_limit_tightens_admission(self, make_job):
-        # A JobManager quota tightens the master's cap below the config.
-        job = make_job(max_concurrent_branches=8,
-                       branch_admission="shed")
-        job.master.set_branch_limit(1)
-        first = job.query(full_activation=True)
-        second = job.query(full_activation=True)
-        job.wait_for_query(first)
-        assert job.master.queries_shed == 1
-        # And it can never loosen past the config ceiling.
-        job.master.set_branch_limit(99)
-        assert job.master.branch_limit == 8
-        assert second is not None
+
+def unfed_job():
+    """A small SSSP job with nothing fed yet."""
+    return TornadoJob(sssp_application(), TornadoConfig(
+        n_processors=2, report_interval=0.01, storage_backend="memory"))
+
+
+def sssp_feeds():
+    return list(edge_stream(SSSP_EDGES, UniformRate(rate=1000.0)))
 
 
 class TestTypedAdmissionErrors:
     def test_hierarchy_roots_at_query_error(self):
-        for err in (AdmissionError, DuplicateTenantError,
-                    PoolExhaustedError, QuotaExceededError,
-                    BackpressureError):
+        for err in (AdmissionError, BackpressureError):
             assert issubclass(err, QueryError)
             assert issubclass(err, AdmissionError)
 
-    def test_duplicate_tenant_rejected(self, make_tenant_spec):
-        manager = JobManager(pool_size=6)
-        manager.submit(make_tenant_spec("alice", seed=1))
-        with pytest.raises(DuplicateTenantError):
-            manager.submit(make_tenant_spec("alice", seed=2))
-
-    def test_pool_exhausted_rejected(self, make_tenant_spec):
-        manager = JobManager(pool_size=3)
-        manager.submit(make_tenant_spec("alice", n_processors=2))
-        with pytest.raises(PoolExhaustedError):
-            manager.submit(make_tenant_spec("bob", n_processors=2))
-        # The 1 remaining slot is still grantable.
-        manager.submit(make_tenant_spec("carol", n_processors=1))
-        assert manager.pool.free_slots == 0
-
-    def test_processor_quota_rejected(self, make_tenant_spec):
-        manager = JobManager(pool_size=8)
-        with pytest.raises(QuotaExceededError):
-            manager.submit(make_tenant_spec(
-                "greedy", n_processors=4,
-                quota=TenantQuota(max_processors=2)))
-        assert manager.pool.free_slots == 8
-
-    def test_backpressure_rejected_without_residue(self, make_tenant_spec):
-        manager = JobManager(pool_size=4)
-        spec = make_tenant_spec(
-            "firehose",
-            quota=TenantQuota(max_processors=2, max_pending_inputs=3))
-        assert len(spec.feeds) > 3
+    def test_backpressure_rejected_without_residue(self):
+        job = unfed_job()
+        feeds = sssp_feeds()
+        assert len(feeds) > 3
+        scheduled = job.ingester.tuples_scheduled
+        pending = job.sim.pending_events
         with pytest.raises(BackpressureError):
-            manager.submit(spec)
-        # Rejection leaves no residue: slots and records rolled back.
-        assert manager.pool.free_slots == 4
-        assert "firehose" not in manager.tenants
+            job.ingester.schedule_stream(feeds, max_pending=3)
+        # All-or-nothing: the rejected batch scheduled nothing.
+        assert job.ingester.tuples_scheduled == scheduled
+        assert job.sim.pending_events == pending
 
-    def test_runtime_feed_backpressure(self, make_tenant_spec):
-        manager = JobManager(pool_size=4)
-        spec = make_tenant_spec(
-            "alice", query_times=(),
-            quota=TenantQuota(max_processors=2,
-                              max_pending_inputs=len(SSSP_EDGES)))
-        manager.submit(spec)
+    def test_runtime_feed_backpressure(self):
+        job = unfed_job()
+        feeds = sssp_feeds()
+        bound = len(SSSP_EDGES)
+        assert job.ingester.schedule_stream(feeds, max_pending=bound) \
+            == len(feeds)
         with pytest.raises(BackpressureError):
-            manager.feed("alice", spec.feeds)  # initial feed still pending
-        manager.round_robin_once()  # drains the backlog
-        assert manager.feed("alice", spec.feeds[:2]) == 2
-
-
-class TestQuotaAccounting:
-    def test_accounting_zero_on_completion(self, make_tenant_spec):
-        manager = JobManager(pool_size=4)
-        manager.submit(make_tenant_spec("alice", horizon=1.0,
-                                        query_times=()))
-        assert manager.pool.free_slots == 2
-        manager.run_until_all_done(max_rounds=500)
-        assert manager.states() == {"alice": "done"}
-        assert manager.pool.free_slots == 4
-        assert manager.pool.leased("alice") == ()
-        assert manager._effective_weight("alice") == 1  # base floor only
-
-    def test_accounting_zero_on_crash(self, make_tenant_spec,
-                                      monkeypatch):
-        manager = JobManager(pool_size=4)
-        record = manager.submit(make_tenant_spec("alice", horizon=1.0,
-                                                 query_times=()))
-        boom = RuntimeError("tenant blew up mid-window")
-
-        def explode(*args, **kwargs):
-            raise boom
-
-        monkeypatch.setattr(record.job.sim, "run", explode)
-        manager.round_robin_once()
-        assert manager.states() == {"alice": "failed"}
-        assert record.error is boom
-        assert manager.pool.free_slots == 4
-        assert manager.pool.leased("alice") == ()
-
-    def test_crash_frees_capacity_for_new_tenant(self, make_tenant_spec,
-                                                 monkeypatch):
-        manager = JobManager(pool_size=2)
-        record = manager.submit(make_tenant_spec("alice", horizon=1.0,
-                                                 query_times=()))
-        monkeypatch.setattr(
-            record.job.sim, "run",
-            lambda *a, **k: (_ for _ in ()).throw(RuntimeError("boom")))
-        manager.round_robin_once()
-        # The freed slots admit the next tenant.
-        manager.submit(make_tenant_spec("bob", horizon=0.5,
-                                        query_times=()))
-        manager.run_until_all_done(max_rounds=500)
-        assert manager.states()["bob"] == "done"
-
-    def test_no_over_admission_under_concurrent_submits(
-            self, make_tenant_spec):
-        manager = JobManager(pool_size=4)
-        outcomes = {}
-
-        def submit(name):
-            try:
-                manager.submit(make_tenant_spec(name, n_processors=2,
-                                                query_times=()))
-                outcomes[name] = "admitted"
-            except AdmissionError as exc:
-                outcomes[name] = type(exc).__name__
-
-        threads = [threading.Thread(target=submit, args=(f"t{i}",))
-                   for i in range(8)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        admitted = [n for n, o in outcomes.items() if o == "admitted"]
-        assert len(admitted) == 2
-        leased = sum(len(manager.pool.leased(name)) for name in admitted)
-        assert leased == 4
-        assert manager.pool.free_slots == 0
-        rejected = {o for n, o in outcomes.items() if o != "admitted"}
-        assert rejected == {"PoolExhaustedError"}
-
-    def test_pool_lease_is_deterministic_and_atomic(self):
-        pool = ProcessorPool(4)
-        assert pool.lease("a", 2) == (0, 1)
-        assert pool.lease("b", 2) == (2, 3)
-        with pytest.raises(PoolExhaustedError):
-            pool.lease("c", 1)
-        with pytest.raises(DuplicateTenantError):
-            pool.lease("a", 1)
-        assert pool.release("a") == (0, 1)
-        assert pool.release("a") == ()  # idempotent
-        assert pool.lease("c", 2) == (0, 1)
+            # The initial feed is still pending.
+            job.ingester.schedule_stream(feeds, max_pending=bound)
+        job.run_for(0.25)  # drains the backlog
+        assert job.ingester.pending_inputs() == 0
+        assert job.ingester.schedule_stream(feeds[:2],
+                                            max_pending=bound) == 2

@@ -168,17 +168,17 @@ class TestRecoveryDropsLoadStats:
         (its counters restarted); the master must drop them."""
         job = make_job()
         job.feed(edge_stream(EDGES, UniformRate(rate=300.0)))
-        job.run_until(lambda: "proc-0" in job.master._busy,
+        planner = job.master.planner
+        job.run_until(lambda: "proc-0" in planner._busy_total,
                       max_events=20_000_000)
         job.master._handle_processor_recovered(
             ProcessorRecovered("proc-0"))
-        assert "proc-0" not in job.master._busy
-        assert "proc-0" not in job.master.planner._busy_rate
+        assert "proc-0" not in planner._busy_total
+        assert "proc-0" not in planner._busy_rate
 
 
 class TestPlannerBugfixes:
-    """Busy-counter regression handling and critical-path feedback in
-    the planner cost model."""
+    """Busy-counter regression handling in the planner's load model."""
 
     def planner(self, **config_kwargs):
         config_kwargs.setdefault("n_processors", 3)
@@ -224,34 +224,3 @@ class TestPlannerBugfixes:
         job.run_until(lambda: "proc-0" in job.master.planner._busy_rate,
                       max_events=20_000_000)
         assert 0.0 <= job.master.planner._busy_rate["proc-0"] <= 1.0
-
-    def test_criticality_weight_biases_plan_ordering(self):
-        """With two equally-busy processors, critical-path feedback
-        decides which one sheds load first."""
-        def loaded_planner(weight):
-            planner = self.planner(migration_criticality_weight=weight,
-                                   migration_max_batch=1)
-            for name, rate in (("proc-0", 0.8), ("proc-1", 0.8),
-                               ("proc-2", 0.1)):
-                planner.observe(name, 0.0, 0.0)
-                planner.observe(name, rate, 1.0)
-            planner._vertex_load = {"proc-0": {0: 1, 2: 1, 4: 1, 6: 1},
-                                    "proc-1": {1: 1, 3: 1, 5: 1, 7: 1}}
-            planner.set_criticality({"proc-1": 0.9})
-            return planner
-
-        owner = {0: "proc-0", 2: "proc-0", 4: "proc-0", 6: "proc-0",
-                 1: "proc-1", 3: "proc-1", 5: "proc-1",
-                 7: "proc-1"}.__getitem__
-        procs = ["proc-0", "proc-1", "proc-2"]
-        # Weight off: deterministic tie-break picks proc-0's vertex.
-        moves = loaded_planner(0.0).plan(procs, owner)
-        assert moves and moves[0][1] == "proc-0"
-        # Weight on: the critical-path processor sheds load first.
-        moves = loaded_planner(1.0).plan(procs, owner)
-        assert moves and moves[0][1] == "proc-1"
-
-    def test_master_applies_criticality_to_planner(self):
-        job = make_job(migration_criticality_weight=0.5)
-        job.master.apply_criticality({"proc-0": 0.7})
-        assert job.master.planner._criticality == {"proc-0": 0.7}

@@ -4,7 +4,9 @@ Runs a shrunk version of the Fig. 8d workload (SSSP branch loop with a
 mid-run processor failure) twice with the same seed and asserts the
 flight-recorder dumps are byte-for-byte identical, pins the seed-7 run's
 trace digest, event count and metrics, then checks that the
-per-iteration protocol-phase counts the bench needs are available.
+per-iteration protocol-phase counts the bench needs are available.  It
+also checks that advancing a job in event-budgeted time slices records
+exactly what a straight run does.
 
 The pin was recorded from the kernel with its timer wheel, tombstone
 compaction and same-instant coalescing both on and off (they produced
@@ -20,8 +22,11 @@ import json
 from dataclasses import replace
 
 from repro.bench.workloads import SMALL, sssp_bundle
-from repro.core import TornadoJob
+from repro.core import TornadoConfig, TornadoJob
 from repro.obs import phase_counts, render_phase_table
+from repro.streams import UniformRate, edge_stream
+
+from .conftest import SSSP_EDGES, sssp_application
 
 TINY = replace(SMALL, n_vertices=80, n_edges=320, stream_rate=4000.0)
 
@@ -57,7 +62,43 @@ def _fingerprint(job: TornadoJob) -> tuple[str, int, str]:
             hashlib.sha256(metrics.encode()).hexdigest())
 
 
+def _sliced_sssp_job(seed: int) -> TornadoJob:
+    """The shared SSSP job with its feed and one full-activation query
+    armed on the virtual timeline, ready to run."""
+    job = TornadoJob(sssp_application(), TornadoConfig(
+        seed=seed, n_processors=2, report_interval=0.01,
+        storage_backend="memory", trace_enabled=True))
+    job.feed(edge_stream(SSSP_EDGES, UniformRate(rate=1000.0)))
+    job.schedule_query(1.5, full_activation=True)
+    return job
+
+
 class TestTraceDeterminism:
+    def test_sliced_running_is_digest_neutral(self):
+        """Advancing a job in ``run(until=k*0.25, max_events=200)``
+        slices, as the chaos campaign and ``run_for`` drivers do, records
+        nothing a straight run to the same horizon does not."""
+        horizon, width, budget = 2.0, 0.25, 200
+        straight = _sliced_sssp_job(seed=7)
+        straight.run(until=horizon)
+        sliced = _sliced_sssp_job(seed=7)
+        k, truncated = 0, 0
+        while True:
+            target = min((k + 1) * width, horizon)
+            sliced.sim.run(until=target, max_events=budget)
+            if sliced.sim.now < target and sliced.sim.pending_events:
+                # The budget cut the slice short: resume toward the same
+                # boundary, so the boundaries never move.
+                truncated += 1
+                continue
+            k += 1
+            if target >= horizon:
+                break
+        assert truncated > 0
+        assert sliced.sim.now == straight.sim.now
+        assert sliced.trace.digest() == straight.trace.digest()
+        assert sliced.main_values() == straight.main_values()
+
     def test_same_seed_produces_identical_traces(self):
         first = _fig8d_style_run(seed=7)
         second = _fig8d_style_run(seed=7)

@@ -4,11 +4,9 @@ import json
 
 import pytest
 
-from repro.obs import (MetricsRegistry, TraceRecorder,
-                       merged_phase_counts, parse_dump, parse_dump_line,
-                       phase_counts, render_phase_table, split_named_dump,
+from repro.obs import (MetricsRegistry, TraceRecorder, parse_dump,
+                       parse_dump_line, phase_counts, render_phase_table,
                        termination_timeline)
-from repro.obs.trace import merge_named_dumps
 
 
 class TestTraceRecorder:
@@ -163,7 +161,7 @@ class TestReport:
 
 
 class TestDumpParsing:
-    """Round trips for the dump grammar and the merged-dump splitter."""
+    """Round trips for the dump grammar."""
 
     def test_parse_dump_line_round_trip(self):
         recorder = TraceRecorder()
@@ -196,19 +194,6 @@ class TestDumpParsing:
         replayed = parse_dump(recorder.dump())
         assert "\n".join(e.line() for e in replayed) == recorder.dump()
 
-    def test_split_named_dump_inverts_merge(self):
-        a, b = TraceRecorder(), TraceRecorder()
-        a.record(0.1, "net", "send", actor="x")
-        b.record(0.2, "net", "send", actor="y")
-        b.record(0.3, "net", "recv", actor="y")
-        merged = merge_named_dumps({"tenant-a": a, "tenant-b": b})
-        sections = split_named_dump(merged)
-        assert sections == {"tenant-a": a.dump(), "tenant-b": b.dump()}
-
-    def test_split_named_dump_rejects_unprefixed_lines(self):
-        with pytest.raises(ValueError):
-            split_named_dump("0 0.1 net.send x")
-
 
 class TestChromeTraceOrdering:
     def test_events_sorted_by_timestamp(self):
@@ -231,39 +216,3 @@ class TestChromeTraceOrdering:
                  if event["ph"] == "i"]
         assert names == ["protocol.update", "protocol.commit",
                          "protocol.ack"]
-
-
-class TestMergedPhaseCounts:
-    def make_merged(self):
-        streams = {}
-        for name, offset in (("tenant-a", 0), ("tenant-b", 10)):
-            recorder = TraceRecorder()
-            recorder.record(0.1, "protocol", "update", actor="p0",
-                            loop="main", iteration=offset)
-            recorder.record(0.2, "protocol", "commit", actor="p0",
-                            loop="main", iteration=offset)
-            recorder.record(0.3, "protocol", "update", actor="p0",
-                            loop="branch-1", iteration=offset + 1)
-            streams[name] = recorder
-        return merge_named_dumps(streams)
-
-    def test_no_cross_tenant_bleed(self):
-        """Both tenants run a loop named ``main``; their phase rows must
-        stay separate in the merged view."""
-        table = merged_phase_counts(self.make_merged())
-        assert table[("tenant-a", "main", 0)]["update"] == 1
-        assert table[("tenant-b", "main", 10)]["update"] == 1
-        # No row ever aggregates across tenants.
-        assert all(key[0] in ("tenant-a", "tenant-b") for key in table)
-
-    def test_loop_filter_composes_with_tenant_prefix(self):
-        table = merged_phase_counts(self.make_merged(), loop="main")
-        assert set(table) == {("tenant-a", "main", 0),
-                              ("tenant-b", "main", 10)}
-        # Each tenant's main-loop row counts only its own events.
-        assert table[("tenant-a", "main", 0)]["commit"] == 1
-
-    def test_tenant_filter(self):
-        table = merged_phase_counts(self.make_merged(), tenant="tenant-b")
-        assert set(table) == {("tenant-b", "main", 10),
-                              ("tenant-b", "branch-1", 11)}
