@@ -15,7 +15,7 @@ from repro.chaos.campaign import (default_workloads,
                                   master_kill_mid_migration_outcome,
                                   run_campaign)
 
-WORKLOADS = ("sssp", "pagerank", "migration", "storm")
+WORKLOADS = ("sssp", "pagerank", "migration")
 
 
 def main(argv: list[str] | None = None) -> int:

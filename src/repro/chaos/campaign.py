@@ -1,8 +1,8 @@
-"""The chaos campaign runner (ISSUE tentpole part 3).
+"""The chaos campaign runner.
 
 A campaign draws N seeded :class:`ChaosSchedule`\\ s per workload, runs
-each against a fig8-style job (SSSP and PageRank on the Tornado core;
-a replaying word-count on the storm substrate), and judges every run
+each against a fig8-style Tornado job (SSSP, PageRank, and SSSP under
+planted hot-key skew with live migration), and judges every run
 with the :mod:`repro.chaos.oracles`.  The first schedule of each
 workload is executed twice and its flight-recorder digests compared
 byte-for-byte — the determinism oracle.  A failing schedule is greedily
@@ -21,17 +21,12 @@ from repro.algorithms.graph_common import EdgeStreamRouter
 from repro.algorithms.pagerank import (PageRankProgram, reference_pagerank)
 from repro.algorithms.sssp import SSSPProgram, reference_sssp
 from repro.chaos import oracles
-from repro.chaos.faults import (apply_to_cluster, apply_to_job,
-                                fault_windows)
+from repro.chaos.faults import apply_to_job, fault_windows
 from repro.chaos.schedule import (ChaosSchedule, FaultMenu, FaultSpec,
                                   generate_schedule)
 from repro.core import Application, TornadoConfig, TornadoJob
 from repro.core.messages import MAIN_LOOP
 from repro.errors import QueryError, SimulationError
-from repro.obs import TraceRecorder
-from repro.simulator import FailureInjector, Network, Simulator
-from repro.storm import (Bolt, ClusterConfig, LocalCluster, Spout,
-                         TopologyBuilder)
 from repro.streams import UniformRate, edge_stream
 
 #: Virtual seconds during which faults may be active; every schedule is
@@ -293,157 +288,6 @@ class PageRankWorkload(TornadoWorkload):
                 for vertex, value in values.items()}
 
 
-# ======================================================= storm workload
-class ReplaySpout(Spout):
-    """Emits ``n_tuples`` words; replays any message id not acked within
-    ``replay_timeout`` virtual seconds.  Spout-side replay keeps
-    at-least-once delivery even when a TREE_DONE/TREE_FAILED notice from
-    the acker is itself lost to a partition."""
-
-    def __init__(self, n_tuples: int, replay_timeout: float) -> None:
-        self.n_tuples = n_tuples
-        self.replay_timeout = replay_timeout
-        self.next_id = 0
-        self.pending: dict[int, float] = {}
-        self.acked: set[int] = set()
-        self.retry: list[int] = []
-
-    def open(self, ctx, collector) -> None:
-        self.ctx = ctx
-        self.collector = collector
-
-    def _emit(self, message_id: int) -> None:
-        self.pending[message_id] = self.ctx.sim.now
-        self.collector.emit({"word": f"w{message_id % 5}",
-                             "__message_id__": message_id})
-
-    def next_tuple(self) -> bool:
-        if self.retry:
-            self._emit(self.retry.pop(0))
-            return True
-        if self.next_id < self.n_tuples:
-            self._emit(self.next_id)
-            self.next_id += 1
-            return True
-        now = self.ctx.sim.now
-        stale = [mid for mid, at in self.pending.items()
-                 if now - at > self.replay_timeout]
-        if stale:
-            self._emit(min(stale))
-            return True
-        return False
-
-    def ack(self, message_id: int) -> None:
-        self.pending.pop(message_id, None)
-        self.acked.add(message_id)
-
-    def fail(self, message_id: int) -> None:
-        if message_id in self.pending and message_id not in self.retry:
-            self.retry.append(message_id)
-
-
-class CountBolt(Bolt):
-    def __init__(self) -> None:
-        self.counts: dict[str, int] = {}
-
-    def prepare(self, ctx, collector) -> None:
-        self.collector = collector
-
-    def execute(self, tup) -> float:
-        word = tup.values.get("word") if hasattr(tup, "values") else None
-        if word is not None:
-            self.counts[word] = self.counts.get(word, 0) + 1
-            self.collector.ack(tup)
-        return 1e-5
-
-
-class StormWorkload:
-    """Replaying word-count on the storm substrate with supervision:
-    exercises the XOR acker and task restarts under kills, partitions
-    and delay spikes."""
-
-    name = "storm"
-    N_TUPLES = 30
-
-    def __init__(self, job_seed: int = 7) -> None:
-        self.job_seed = job_seed
-
-    def _task_names(self) -> list[str]:
-        return ["wordcount:gen[0]", "wordcount:count[0]",
-                "wordcount:count[1]"]
-
-    def menu(self) -> FaultMenu:
-        tasks = tuple(self._task_names())
-        return FaultMenu(kill_targets=tasks, link_endpoints=tasks)
-
-    def _build(self):
-        sim = Simulator(seed=self.job_seed,
-                        recorder=TraceRecorder(capacity=200_000,
-                                               enabled=True))
-        network = Network(sim, latency=1e-3, jitter=2e-4)
-        cluster = LocalCluster(sim, network,
-                               ClusterConfig(n_nodes=3,
-                                             tuple_timeout=1.0))
-        builder = TopologyBuilder("wordcount")
-        spouts: list[ReplaySpout] = []
-        bolts: list[CountBolt] = []
-
-        def make_spout():
-            spout = ReplaySpout(self.N_TUPLES, replay_timeout=1.5)
-            spouts.append(spout)
-            return spout
-
-        def make_bolt():
-            bolt = CountBolt()
-            bolts.append(bolt)
-            return bolt
-
-        builder.set_spout("gen", make_spout)
-        builder.set_bolt("count", make_bolt, parallelism=2) \
-               .fields_grouping("gen", ("word",))
-        cluster.submit(builder.build())
-        cluster.enable_supervision(heartbeat=0.1, restart_delay=0.2)
-        injector = FailureInjector(sim, network=network)
-        return sim, cluster, injector, spouts[0], bolts
-
-    def golden(self) -> dict:
-        return {f"w{i}": self.N_TUPLES // 5 for i in range(5)}
-
-    def run_chaos(self, schedule: ChaosSchedule) -> ChaosOutcome:
-        sim, cluster, injector, spout, bolts = self._build()
-        apply_to_cluster(sim, injector, schedule)
-        all_ids = set(range(self.N_TUPLES))
-        completed = True
-        try:
-            sim.run_until(lambda: spout.acked >= all_ids,
-                          max_events=2_000_000)
-        except SimulationError:
-            completed = False
-        # Let straggler trees drain so the conservation books can balance.
-        sim.run(until=sim.now + 3.0)
-        results = [oracles.OracleResult(
-            "liveness", completed,
-            "" if completed else
-            f"{len(all_ids - spout.acked)} message ids never acked")]
-        results.append(oracles.acker_conservation(sim.trace,
-                                                  cluster.acker))
-        counts: dict[str, int] = {}
-        for bolt in bolts:
-            for word, n in bolt.counts.items():
-                counts[word] = counts.get(word, 0) + n
-        short = {word: (counts.get(word, 0), want)
-                 for word, want in self.golden().items()
-                 if counts.get(word, 0) < want}
-        results.append(oracles.OracleResult(
-            "at-least-once-counts", not short,
-            f"undercounted words: {short}" if short else ""))
-        outcome = ChaosOutcome(self.name, schedule, results,
-                               sim.trace.digest())
-        if not outcome.passed:
-            outcome.trace_dump = sim.trace.dump()
-        return outcome
-
-
 # ============================================================= campaign
 @dataclass
 class CampaignReport:
@@ -474,7 +318,6 @@ def default_workloads(planted_restart_skew: int = 0) -> list:
         SSSPWorkload(planted_restart_skew=planted_restart_skew),
         PageRankWorkload(planted_restart_skew=planted_restart_skew),
         MigrationWorkload(planted_restart_skew=planted_restart_skew),
-        StormWorkload(),
     ]
 
 

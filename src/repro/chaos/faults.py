@@ -52,26 +52,6 @@ def apply_to_job(job, schedule: ChaosSchedule) -> None:
             raise ValueError(f"unknown fault kind {fault.kind!r}")
 
 
-def apply_to_cluster(sim, injector, schedule: ChaosSchedule) -> None:
-    """Arm ``schedule`` against a storm ``LocalCluster`` (no reliable
-    transport or disks there: kills, partitions and delay spikes only)."""
-    for fault in schedule.faults:
-        if fault.kind == "kill":
-            injector.kill_at(fault.start, fault.a,
-                             recover_after=fault.duration)
-        elif fault.kind == "partition":
-            injector.partition_at(fault.start, fault.a, fault.b,
-                                  heal_after=fault.duration)
-        elif fault.kind == "delay":
-            injector.delay_spike_at(fault.start, fault.x, fault.duration,
-                                    src=fault.a or None,
-                                    dst=fault.b or None)
-        else:
-            raise ValueError(
-                f"fault kind {fault.kind!r} not applicable to a storm "
-                f"cluster")
-
-
 def fault_windows(schedule: ChaosSchedule,
                   pad: float) -> list[tuple[float, float]]:
     """Merged ``[start - pad, end + pad]`` windows of every fault — the

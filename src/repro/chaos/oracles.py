@@ -1,7 +1,7 @@
 """Exact-recovery oracles.
 
 Each oracle inspects one completed chaos run and returns an
-:class:`OracleResult`.  The properties checked (ISSUE: tentpole part 2):
+:class:`OracleResult`.  The properties checked:
 
 * **Exactness** — the post-heal query equals a fault-free golden run of
   the same job and seed (and the analytic reference), byte-exact for
@@ -13,9 +13,6 @@ Each oracle inspects one completed chaos run and returns an
   with teeth against the planted restart-skew mutation, which exactness
   alone would miss (SSSP re-derives the right answer from a frontier
   that is off by one in either direction).
-* **Acker conservation** — every tuple tree registered with the acker
-  finishes at most once (acked or failed, never both) and the books
-  balance: inits = completions + failures + still-pending.
 * **Liveness** — outside padded fault windows, consecutive main-loop
   terminations are never further apart than a generous bound, and the
   final query completes within the event budget at all.
@@ -99,39 +96,6 @@ def manifest_consistency(manifest, termination_times) -> OracleResult:
                 f"observed termination up to {observed}")
     return OracleResult("manifest-consistency", True,
                         f"{len(termination_times)} loops")
-
-
-# ----------------------------------------------------- acker conservation
-def acker_conservation(trace, acker) -> OracleResult:
-    """XOR-tree bookkeeping balances and no tree finishes twice."""
-    if trace.evicted:
-        return OracleResult("acker-conservation", True,
-                            "skipped: trace ring evicted events")
-    inits = {event.field("root")
-             for event in trace.select("storm", "ack_init")}
-    finishes: dict[int, list[str]] = {}
-    for name in ("tree_done", "tree_failed"):
-        for event in trace.select("storm", name):
-            finishes.setdefault(event.field("root"), []).append(name)
-    for root, outcomes in sorted(finishes.items()):
-        if len(outcomes) > 1:
-            return OracleResult(
-                "acker-conservation", False,
-                f"root {root} finished {len(outcomes)} times: {outcomes}")
-        if root not in inits:
-            return OracleResult(
-                "acker-conservation", False,
-                f"root {root} finished ({outcomes[0]}) but was never "
-                f"registered")
-    balance = acker.completed + acker.failed + acker.pending_trees
-    if balance != len(inits):
-        return OracleResult(
-            "acker-conservation", False,
-            f"{len(inits)} trees registered but done({acker.completed}) "
-            f"+ failed({acker.failed}) + pending({acker.pending_trees}) "
-            f"= {balance}")
-    return OracleResult("acker-conservation", True,
-                        f"{len(inits)} trees balanced")
 
 
 # --------------------------------------------------------------- liveness

@@ -416,10 +416,6 @@ class Master(Actor):
                             tag="migration")
 
     # -------------------------------------------------------------- helpers
-    def busy_rates(self) -> dict[str, float]:
-        """The planner's per-processor windowed busy rates."""
-        return self.planner.rates()
-
     def _broadcast(self, payload: Any, tag: str | None = None) -> None:
         for processor in self.processors:
             self.transport.send(processor, payload, tag=tag)

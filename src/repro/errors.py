@@ -14,10 +14,6 @@ class SimulationError(ReproError):
     """The discrete-event simulator was used incorrectly."""
 
 
-class TopologyError(ReproError):
-    """A stream topology is malformed (unknown component, bad grouping...)."""
-
-
 class ProtocolError(ReproError):
     """The three-phase update protocol reached an inconsistent state."""
 

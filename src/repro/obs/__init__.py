@@ -4,10 +4,10 @@
 :class:`TraceRecorder` (typed, bounded ring buffer of events stamped with
 virtual time) and a :class:`MetricsRegistry` (named counters, gauges and
 histograms) are injected through :class:`repro.simulator.Simulator`, so
-the kernel, the network, the Storm layer and the Tornado runtime all
-publish into one sink.  Tracing is zero-cost when disabled and
-byte-for-byte deterministic when enabled: the same seed produces an
-identical trace, which makes the recorder double as a regression oracle.
+the kernel, the network and the Tornado runtime all publish into one
+sink.  Tracing is zero-cost when disabled and byte-for-byte deterministic
+when enabled: the same seed produces an identical trace, which makes the
+recorder double as a regression oracle.
 
 On top of the recorder sit the analyses: per-iteration protocol phase
 tables (:mod:`repro.obs.report`) and SnailTrail-style critical-path

@@ -2,8 +2,8 @@
 
 One :class:`MetricsRegistry` is shared by every layer of a simulated
 deployment (injected through the :class:`~repro.simulator.Simulator`), so
-the kernel, the network fabric, the Storm layer and the Tornado runtime
-all publish into a single sink that reports and tests can read.
+the kernel, the network fabric and the Tornado runtime all publish into
+a single sink that reports and tests can read.
 
 Instruments are plain Python objects with ``__slots__``; hot paths cache
 the instrument once at construction time so an update is a single method

@@ -1,6 +1,7 @@
 """Deterministic discrete-event cluster simulator.
 
-This package replaces the 20-node Storm cluster of the original paper: it
+This package replaces both the 20-node cluster and the Apache Storm
+runtime of the original paper (Tornado's actors run on it directly): it
 models single-threaded workers (:class:`Actor`), a shared network fabric
 with latency and a throughput ceiling (:class:`Network`), per-node disks
 (:class:`SimulatedDisk`) and crash/recovery injection

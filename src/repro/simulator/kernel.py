@@ -1,8 +1,8 @@
 """The discrete-event simulation kernel.
 
 A :class:`Simulator` owns the virtual clock, the event queue and the actor
-registry.  Everything above it — the Storm layer, the Tornado runtime, the
-baseline engines — advances time exclusively by scheduling events, which
+registry.  Everything above it — the Tornado runtime, the chaos campaigns,
+the baseline engines — advances time exclusively by scheduling events, which
 makes every experiment in this repository fully deterministic.
 
 Three mechanisms remove the dominant costs of a pure-heap design without

@@ -60,14 +60,6 @@ class NetworkStats:
             return 0.0
         return max(self.remote_buckets.values()) / self.bucket_width
 
-    def mean_messages_per_second(self, start: float, end: float) -> float:
-        if end <= start:
-            return 0.0
-        lo, hi = int(start // self.bucket_width), int(end // self.bucket_width)
-        total = sum(count for bucket, count in self.buckets.items()
-                    if lo <= bucket <= hi)
-        return total / (end - start)
-
 
 class Network:
     """Message fabric connecting every actor of a :class:`Simulator`.

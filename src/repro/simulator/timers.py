@@ -2,10 +2,9 @@
 
 The dominant event class in every workload is a timer that is scheduled
 and then almost always cancelled before it fires: reliable-transport
-retransmits (cancelled by the ack), acker tuple timeouts (cancelled when
-the tree completes) and self-rescheduling tick chains.  On the binary
-heap each of those costs O(log n) to schedule and leaves a tombstone
-behind on cancel that inflates every later heap operation.
+retransmits (cancelled by the ack) and self-rescheduling tick chains.
+On the binary heap each of those costs O(log n) to schedule and leaves a
+tombstone behind on cancel that inflates every later heap operation.
 
 This module takes them off the heap.  A classic hierarchical
 timer wheel quantises deadlines to tick buckets, which would change

@@ -46,7 +46,8 @@ class TestAdmission:
         first = job.query(full_activation=True)
         shed = job.query(full_activation=True)
         job.wait_for_query(first)
-        assert job.query_rejected(shed) or True  # shed notice may lag
+        job.run_until(lambda: job.query_rejected(shed), max_events=100_000)
+        assert job.query_rejected(shed)
         third = job.query(full_activation=True)
         result = job.wait_for_query(third)
         assert result.converged_iteration >= 0

@@ -3,8 +3,8 @@
 Two layers of defence for same-seed reproducibility:
 
 1. A grep-based lint over the source tree.  The deterministic runtime
-   (``core``, ``simulator``, ``storm``, ``storage``, ``streams``,
-   ``algorithms``, ``chaos``) must never read a wall clock or draw from
+   (``core``, ``simulator``, ``storage``, ``streams``, ``algorithms``,
+   ``chaos``, ``datagen``) must never read a wall clock or draw from
    unseeded/global randomness — everything flows from the virtual clock
    and ``RandomStreams``.  Wall-clock reads are whitelisted only where
    they are the point: the live backend's timers/timeouts and the bench
@@ -25,8 +25,8 @@ import sys
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
 
 #: Packages that must stay wall-clock-free and global-randomness-free.
-DETERMINISTIC_PACKAGES = ("core", "simulator", "storm", "storage",
-                          "streams", "algorithms", "chaos", "datagen")
+DETERMINISTIC_PACKAGES = ("core", "simulator", "storage", "streams",
+                          "algorithms", "chaos", "datagen")
 
 #: (pattern, why it is banned, packages it is banned in — None = all,
 #: file names exempt from the rule).
@@ -108,6 +108,17 @@ class TestNondeterminismLint:
     def test_no_wall_clock_or_global_randomness(self):
         found = violations()
         assert not found, "nondeterminism leaks:\n" + "\n".join(found)
+
+    def test_every_named_package_exists(self):
+        """A package list that names a deleted package checks nothing
+        for that entry, silently: every name must still be a package
+        under ``src/repro``."""
+        named = set(DETERMINISTIC_PACKAGES) | set(NUMPY_FREE_PACKAGES)
+        for _pattern, _why, packages, _exempt in RULES:
+            named |= set(packages or ())
+        missing = sorted(name for name in named
+                         if not (SRC / name / "__init__.py").is_file())
+        assert not missing, f"lint names missing packages: {missing}"
 
     def test_lint_actually_bites(self):
         """The rules match the constructs they claim to ban (guard

@@ -21,4 +21,4 @@ def test_example_runs(path):
 def test_examples_exist():
     names = {p.stem for p in EXAMPLES}
     assert {"quickstart", "streaming_pagerank", "online_svm",
-            "fault_tolerance_demo", "storm_wordcount"} <= names
+            "fault_tolerance_demo"} <= names

@@ -50,7 +50,7 @@ class TestTimerWheel:
         wheel = TimerWheel()
         timer = wheel.schedule(1.0, 1.0, _noop, ())
         wheel.pop(timer)
-        timer.cancel()  # the acker does this after a timeout fires
+        timer.cancel()  # a late cancel, after the timer fired, is harmless
         assert wheel.pending == 0
 
     def test_non_monotone_deadline_refused(self):
