@@ -135,7 +135,6 @@ class TornadoWorkload:
             kill_targets=processors + (TornadoJob.MASTER,),
             link_endpoints=processors + (TornadoJob.MASTER,),
             disks=processors if self.storage_backend == "disk" else (),
-            transport_chaos=True,
         )
 
     # ------------------------------------------------------------- runs

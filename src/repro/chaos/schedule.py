@@ -5,9 +5,10 @@ the same seed against the same fault menu always yields byte-identical
 fault lists, so a failing campaign schedule can be replayed (and shrunk)
 exactly.  Faults are drawn from the :class:`FaultMenu` a workload
 publishes — which actors may be killed, which links partitioned, which
-disks stalled, whether the reliable transport carries a chaos plane —
-and every fault heals before ``heal_deadline`` so the post-chaos oracles
-observe a fully repaired system.
+disks stalled; any menu that names actors also offers message drops and
+duplicates on the reliable transport — and every fault heals before
+``heal_deadline`` so the post-chaos oracles observe a fully repaired
+system.
 """
 
 from __future__ import annotations
@@ -32,8 +33,6 @@ class FaultMenu:
     link_endpoints: tuple[str, ...] = ()
     #: Disk names (keys into ``job.disks``) that may be stalled/slowed.
     disks: tuple[str, ...] = ()
-    #: Whether the workload has reliable endpoints for drop/duplication.
-    transport_chaos: bool = False
 
     def kinds(self) -> tuple[str, ...]:
         out = []
@@ -43,7 +42,9 @@ class FaultMenu:
             out.extend(["partition", "delay"])
         if self.disks:
             out.extend(["disk_stall", "disk_slow"])
-        if self.transport_chaos:
+        # Actors talk over the reliable transport, which takes a chaos
+        # plane of message drops and duplicates.
+        if self.kill_targets or self.link_endpoints:
             out.append("drop_dup")
         return tuple(out)
 

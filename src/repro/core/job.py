@@ -201,18 +201,30 @@ class TornadoJob:
 
     def wait_for_query(self, query_id: int,
                        max_events: int = 50_000_000) -> QueryResult:
-        """Run the simulation until the query's branch loop converges.
-        Raises :class:`QueryError` if admission control sheds it."""
-        self.sim.run_until(lambda: self.ingester.query_done(query_id)
-                           or self.query_rejected(query_id),
-                           max_events=max_events)
-        if self.query_rejected(query_id):
-            rejection = self.ingester.rejections[query_id]
-            raise QueryError(f"query {query_id} shed: {rejection.reason}")
-        # Let the processors drain their StopLoop notices (which
-        # materialise the branch's final state) before reading results.
-        self.sim.run(until=self.sim.now + 20 * self.config.net_latency
-                     + 1e-3)
+        """Run the simulation until the query's result is ready: its
+        branch loop converged (the ingester holds ``BranchDone``) and
+        every processor acknowledged the branch's ``StopLoop``.  Acks fire
+        at handling time and ``StopLoop`` writes the branch's final store
+        segment, so an empty tag means the result is complete.  A master
+        crash clears its outbox, and with it the tag: a crash before the
+        acks return lets the wait end as soon as ``BranchDone`` lands, and
+        the result then lacks the segments of every processor that had not
+        yet handled its ``StopLoop`` (it can be empty).  Raises
+        :class:`QueryError` if admission control sheds the query."""
+        results = self.ingester.results
+        rejections = self.ingester.rejections
+        pending = self.master.transport.pending_by_tag
+
+        def ready() -> bool:
+            done = results.get(query_id)
+            if done is not None:
+                return not pending.get(done.loop)
+            return query_id in rejections
+
+        self.sim.run_until(ready, max_events=max_events)
+        if query_id in rejections:
+            raise QueryError(
+                f"query {query_id} shed: {rejections[query_id].reason}")
         return self.result(query_id)
 
     def query_and_wait(self, full_activation: bool = False) -> QueryResult:

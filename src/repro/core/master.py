@@ -291,7 +291,7 @@ class Master(Actor):
             target = (self.trackers[MAIN_LOOP].frontier
                       + self.config.delay_bound)
             self._broadcast(MergeBranch(record.loop, target))
-        self._broadcast(StopLoop(record.loop))
+        self._broadcast(StopLoop(record.loop), tag=record.loop)
         self.trackers.pop(record.loop, None)
         self.transport.send(self.ingester_name, BranchDone(
             loop=record.loop,

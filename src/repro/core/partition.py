@@ -30,6 +30,9 @@ class PartitionScheme:
         # Hashing runs against a sorted ring so ownership is a function of
         # the processor *set*, not the order the list was built in.
         self._ring = sorted(self.processors)
+        # The ring never changes, so a vertex's hash home is computed on
+        # its first lookup and cached.
+        self._homes: dict[Any, str] = {}
         self._overrides: dict[Any, str] = {}
         #: Layout epoch: bumped once per (batch) reassignment.  Messages
         #: cut against an older epoch are fenced by their receivers.
@@ -50,8 +53,11 @@ class PartitionScheme:
 
     def hash_home(self, vertex_id: Any) -> str:
         """The owner hashing alone would assign (ignoring overrides)."""
-        index = _stable_hash(vertex_id) % len(self._ring)
-        return self._ring[index]
+        home = self._homes.get(vertex_id)
+        if home is None:
+            home = self._homes[vertex_id] = self._ring[
+                _stable_hash(vertex_id) % len(self._ring)]
+        return home
 
     def owner(self, vertex_id: Any) -> str:
         override = self._overrides.get(vertex_id)

@@ -206,37 +206,37 @@ CASES = {
 
 PINS: dict[str, tuple[str, int, str]] = {
     "kmeans_always": (
-        "758f3686afe5b2663d4c92802f02e8e4379221aaf111c9e33449817072a7d210",
-        15378,
-        "27d7f31a7dded29069fa5b673e7d279314bc335158b73257cfac7658a7e5d416"),
+        "c4a46b6a26537b60c85690edca779a08708c94eabfc76588e290c5c3089f3004",
+        15039,
+        "0c5afcea165360b72e1c288ba0d44823f55c809337fbb4dda4b93a991c3e7d17"),
     "pagerank_always": (
-        "e422d452dfa97e4f06624b33dcc3bc1e79ecdf4f73eb9c5b95ddd75c9bfef2d7",
-        22846,
-        "95ab3371c1acbeb9f1b6410c99a01ee0222f6b361f8ced98b4dc94e07d9718b3"),
+        "5e9de7ba869e2e107842b304b436f2d9faacea536361240c90b589490d2d0da2",
+        22378,
+        "9e1bd06ef0a810fa0c2f3a7b1d4c25f9906c47bc512002411028c88c7dcfddb5"),
     "pagerank_kill": (
-        "e1e86998c60808c2951e3d521d29a9c23b17379348b026afef63d3c02f4e0061",
-        39131,
+        "a97c489165c3adec8abfaa61279babb234161c0034945d60ee37f8ef9135d21a",
+        39066,
         "cab3353fb3594a5df5efa60b2a18cc314977dc4dc06069c4e142995decadb887"),
     "sssp_always": (
-        "0daf3b9a780d172aa01cd809b9d3ebfbb7229c2734f590fb28e4a5c14356d454",
-        31007,
+        "eb1b07e746a8d910f5f2047a1e876cdce87e79477ae677e84a0afb52afe3e514",
+        30827,
         "a2e0e94e76013e0117e69ea4bad829c489fd84808108279240e6640d797e8e04"),
     "sssp_batch_always": (
-        "05bfeda843b4c9e41980e082fb682e4ad4aed36fda98454efd29bd0da6bbd04b",
-        16848,
+        "46b3dae797eeafaaf58c5549c4b7be4b896859a81aa2429088d6618817f543e4",
+        16686,
         "03d01e0babdc3e4e6e9a6147d0301a739c8bf41c056118a497d8c66f04d3f757"),
     "sssp_batch_kill": (
-        "10434f8e1b0a66e9523c3f894bb6a44edc06dc048c26720db710e5ed59d2bb4e",
-        16363,
+        "80f609e16131e44b14442beb06e741fc3299da4e8e62f113e867bffb449830ad",
+        16298,
         "cecd633ec070f71444210b5ef61f0cb8da36276c00011af5e2fda16287265a0e"),
     "sssp_if_quiescent": (
-        "24db6e3701fffc4ea6ff3df0167a099940bd8df9490e14b6afd47f7b383c98cf",
-        32914,
-        "130a0dfee6467a7df9a8ab75a5c6ee52c0f36baebc1468e2b2e8447074fc4287"),
+        "444f38348a912e47203012c76dbf8a59f0f1d62f6586ea07cecf2f095d4e1135",
+        32812,
+        "e8cb87be2610dcd4ad535d62c609ffd82c7a81c2aeac0059dca0becb91472998"),
     "svm_always": (
-        "9202085b917bd30f82110bf401bcc8c3d4c1766c7fbef2c8eb0c2709e8ce9c74",
-        82700,
-        "5d7146fe80f59cf9e1495c7ab02ff947924c7ef95eeefdd26a563a6e5421d41d"),
+        "ce19c99a276fdcf5dd67aa88fe3d7537163ed9e73e9a3da07af64b0314f43690",
+        78434,
+        "a2526d90ea75dd66ac39729a92cb5c0f81587fd6d9261cd6637212d1169cac20"),
 }
 
 

@@ -9,7 +9,6 @@ FULL_MENU = FaultMenu(
     kill_targets=("proc-0", "proc-1", "master"),
     link_endpoints=("proc-0", "proc-1", "master"),
     disks=("proc-0", "proc-1"),
-    transport_chaos=True,
 )
 
 

@@ -71,6 +71,20 @@ class TestSSSPExactness:
         result = job.query_and_wait()
         assert distances(result) == reference()
 
+    def test_result_ready_once_stop_loops_are_acknowledged(self):
+        """The wait ends one StopLoop round trip after the ingester holds
+        BranchDone, not after a fixed grace period, and by then every
+        processor has stopped the branch and written its segment."""
+        job = make_job()
+        job.run_for(2.0)
+        result = job.wait_for_query(job.query())
+        latency = job.config.net_latency
+        assert job.sim.now - result.completed_at <= 3 * latency + 1e-4
+        assert result.loop not in job.master.transport.pending_by_tag
+        for processor in job.processors:
+            assert result.loop in processor.loop_archive
+        assert distances(result) == reference()
+
 
 class TestSSSPEvolution:
     def test_query_after_more_edges(self):

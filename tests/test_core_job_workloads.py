@@ -159,7 +159,7 @@ class TestSGDJob:
         digest = hashlib.sha256(weights.tobytes()).hexdigest()
         assert (digest, job.sim.events_processed) == (
             "f6cc157b548c1b5eae3e22b74ea5a7d95ef57c3de7dc7f63eefa6e4365172a1e",
-            77594)
+            76856)
 
     def test_main_loop_approximation_learns(self):
         """The main loop's mini-batch SGD alone reaches a decent model —

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core import TornadoConfig
 from repro.core.migration import MigrationPlanner
-from repro.core.partition import PartitionScheme
+from repro.core.partition import PartitionScheme, _stable_hash
 from repro.errors import StorageError
 from repro.storage import VersionedStore
 
@@ -58,6 +58,34 @@ class TestPartitionEpochs:
         for vertex in range(200):
             assert forward.owner(vertex) == backward.owner(vertex)
         assert forward.hash_home("x") == backward.hash_home("x")
+
+    def test_cached_home_agrees_with_the_hash(self):
+        """The per-vertex home cache returns what hashing the ring gives,
+        for every id type, before and after a round trip through an
+        override."""
+        names = [f"p{i}" for i in range(3)]
+        ring = sorted(names)
+        scheme = PartitionScheme(names)
+        vertices = [7, 12345, "a", "vertex-9", (1, 2), ("u", 3)]
+
+        def hashed(vertex):
+            return ring[_stable_hash(vertex) % len(ring)]
+
+        for vertex in vertices:
+            assert scheme.hash_home(vertex) == hashed(vertex)
+            assert scheme.hash_home(vertex) == hashed(vertex)  # cached
+            assert scheme.owner(vertex) == hashed(vertex)
+        away = [(v, next(p for p in ring if p != hashed(v)))
+                for v in vertices]
+        scheme.reassign_batch(away)
+        for vertex, target in away:
+            assert scheme.owner(vertex) == target
+            assert scheme.hash_home(vertex) == hashed(vertex)
+        scheme.reassign_batch([(v, hashed(v)) for v in vertices])
+        assert scheme.override_count() == 0
+        for vertex in vertices:
+            assert scheme.owner(vertex) == hashed(vertex)
+            assert scheme.hash_home(vertex) == hashed(vertex)
 
 
 class TestPutIfNewer:
