@@ -30,24 +30,24 @@ def commits_per_interval(job, until, dt=0.25):
 
 
 def main():
-    edges = livejournal_like(n_vertices=200, n_edges=1000, seed=3)
+    edges = livejournal_like(n_vertices=120, n_edges=500, seed=3)
     app = Application(SSSPProgram(0, max_distance=500.0),
                       EdgeStreamRouter(), name="ft-demo")
     config = TornadoConfig(n_processors=4, storage_backend="memory",
                            delay_bound=65536, retransmit_timeout=0.2)
     job = TornadoJob(app, config)
-    job.feed(edge_stream(edges, UniformRate(rate=600.0)))
+    job.feed(edge_stream(edges, UniformRate(rate=400.0)))
 
     print("killing the master at t=0.50s (recovers at t=1.25s)")
     job.failures.kill_at(0.50, TornadoJob.MASTER, recover_after=0.75)
     print("killing proc-2 at t=2.00s (recovers at t=2.50s)")
     job.failures.kill_at(2.00, "proc-2", recover_after=0.50)
 
-    for at, commits in commits_per_interval(job, until=4.0):
-        bar = "#" * min(60, commits // 20)
+    for at, commits in commits_per_interval(job, until=3.0):
+        bar = "#" * min(60, commits // 10)
         print(f"  t={at:4.2f}s  {commits:5d} updates  {bar}")
 
-    job.run_for(2.0)
+    job.run_for(1.0)
     result = job.query_and_wait(full_activation=True)
     got = {vid: v.distance for vid, v in result.values.items()
            if not math.isinf(v.distance)}

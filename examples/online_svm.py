@@ -28,19 +28,19 @@ def accuracy(weights, instances):
 
 
 def main():
-    instances, _true_w = higgs_like(1200, dim=DIM, seed=11, noise=0.1,
+    instances, _true_w = higgs_like(480, dim=DIM, seed=11, noise=0.1,
                                     drift=1.0)
     app = svm_application(dim=DIM, n_samplers=4,
                           schedule_factory=lambda: BoldDriver(0.2),
                           batch_size=16, reservoir_capacity=400)
     job = TornadoJob(app, TornadoConfig(n_processors=4,
                                         storage_backend="memory"))
-    job.feed(instance_stream(instances, UniformRate(rate=600.0)))
+    job.feed(instance_stream(instances, UniformRate(rate=800.0)))
 
     loss = HingeLoss(l2=1e-3)
     print("time   rate     recent-accuracy  objective")
     for step in range(1, 7):
-        job.run(until=step * 0.4)
+        job.run(until=step * 0.1)
         param = job.main_values().get(PARAM)
         if param is None:
             continue

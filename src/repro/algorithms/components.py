@@ -1,57 +1,13 @@
-"""Connected components by min-label propagation (insert-only streams).
+"""Connected-components oracle.
 
-Labels only ever decrease, so the algorithm is monotone and safe under any
-asynchrony.  Edge deletion is *not* supported: under deletions two vertices
-can sustain each other's stale labels forever (the classic zombie-label
-problem), which needs recomputation machinery the paper does not describe.
+The components program itself is the DSL's :func:`repro.core.dsl.min_label`
+run on an undirected router; this module keeps only the sequential
+union-find reference its results are judged against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any
-
-from repro.core.vertex import VertexContext, VertexProgram
-from repro.errors import ReproError
-from repro.streams.model import ADD_EDGE, REMOVE_EDGE
-
-
-@dataclass
-class ComponentValue:
-    label: Any = None
-    offers: dict[Any, Any] = field(default_factory=dict)
-
-
-class ConnectedComponentsProgram(VertexProgram):
-    """Label(v) = min(v, labels offered by neighbours); requires the
-    undirected edge router so offers flow both ways."""
-
-    def init(self, ctx: VertexContext) -> None:
-        ctx.value = ComponentValue(label=ctx.vertex_id)
-
-    def gather(self, ctx: VertexContext, source: Any, delta: Any) -> bool:
-        value: ComponentValue = ctx.value
-        if source is None:
-            if delta.kind == REMOVE_EDGE:
-                raise ReproError(
-                    "connected components does not support edge deletion")
-            if delta.kind == ADD_EDGE:
-                _u, v, _w = delta.payload
-                ctx.add_target(v)
-                return True  # owe the new neighbour our label
-            return False
-        offered = delta
-        value.offers[source] = offered
-        if offered < value.label:
-            value.label = offered
-            return True
-        return False
-
-    def scatter(self, ctx: VertexContext) -> None:
-        ctx.emit_all(ctx.value.label)
-
-    def snapshot_value(self, value: ComponentValue) -> ComponentValue:
-        return ComponentValue(value.label, dict(value.offers))
 
 
 def reference_components(edges: list[tuple]) -> dict[Any, Any]:

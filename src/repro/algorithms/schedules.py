@@ -3,8 +3,7 @@
 A schedule turns a gradient into a weight delta and may adapt itself from
 objective feedback.  The paper's main loop uses the *bold driver* heuristic
 because schedules that decay monotonically (Adagrad, Adadelta) cannot track
-an evolving model — both are included so that the ablation benches can show
-exactly that failure mode.
+an evolving model.
 """
 
 from __future__ import annotations
@@ -99,58 +98,3 @@ class BoldDriver(DescentSchedule):
     def rate(self) -> float:
         return self._rate
 
-
-class Adagrad(DescentSchedule):
-    """Per-coordinate decaying rates; included as the contrast case — its
-    monotone decay cannot keep up with evolving inputs."""
-
-    def __init__(self, rate: float, epsilon: float = 1e-8) -> None:
-        self._rate = rate
-        self.epsilon = epsilon
-        self._accumulated: np.ndarray | None = None
-
-    def observe(self, objective: float) -> None:
-        pass
-
-    def step(self, gradient: np.ndarray) -> np.ndarray:
-        if self._accumulated is None:
-            self._accumulated = np.zeros_like(gradient)
-        self._accumulated = self._accumulated + gradient * gradient
-        return -self._rate * gradient / np.sqrt(
-            self._accumulated + self.epsilon)
-
-    @property
-    def rate(self) -> float:
-        return self._rate
-
-
-class Adadelta(DescentSchedule):
-    """Zeiler's rate-free schedule; also decays effective steps over time."""
-
-    def __init__(self, decay: float = 0.95, epsilon: float = 1e-6) -> None:
-        self.decay = decay
-        self.epsilon = epsilon
-        self._grad_sq: np.ndarray | None = None
-        self._delta_sq: np.ndarray | None = None
-
-    def observe(self, objective: float) -> None:
-        pass
-
-    def step(self, gradient: np.ndarray) -> np.ndarray:
-        if self._grad_sq is None:
-            self._grad_sq = np.zeros_like(gradient)
-            self._delta_sq = np.zeros_like(gradient)
-        self._grad_sq = (self.decay * self._grad_sq
-                         + (1 - self.decay) * gradient * gradient)
-        delta = -(np.sqrt(self._delta_sq + self.epsilon)
-                  / np.sqrt(self._grad_sq + self.epsilon)) * gradient
-        self._delta_sq = (self.decay * self._delta_sq
-                          + (1 - self.decay) * delta * delta)
-        return delta
-
-    @property
-    def rate(self) -> float:
-        if self._grad_sq is None:
-            return 0.0
-        return float(np.mean(np.sqrt(self._delta_sq + self.epsilon)
-                             / np.sqrt(self._grad_sq + self.epsilon)))

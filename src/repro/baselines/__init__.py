@@ -1,12 +1,9 @@
-"""Baseline systems: batch engines, a Naiad-like incremental engine, and
-mini-batch runners — the comparators of the paper's evaluation."""
+"""Baseline systems: batch engines and a Naiad-like incremental engine —
+the comparators of the paper's evaluation."""
 
 from repro.baselines.engines import (BatchEngine, EngineCosts, EngineRun,
                                      MemoryBudgetExceeded, NaiadLikeEngine,
                                      graphlab_like, spark_like)
-from repro.baselines.parameter_server import SSPParameterServer, SSPStats
-from repro.baselines.minibatch import (EpochResult, MiniBatchCosts,
-                                       MiniBatchRunner)
 from repro.baselines.solvers import (GradientDescentSolver, KMeansSolver,
                                      PageRankSolver, Solver, SSSPSolver,
                                      WorkStats)
@@ -15,16 +12,11 @@ __all__ = [
     "BatchEngine",
     "EngineCosts",
     "EngineRun",
-    "EpochResult",
     "GradientDescentSolver",
     "KMeansSolver",
     "MemoryBudgetExceeded",
-    "MiniBatchCosts",
-    "MiniBatchRunner",
     "NaiadLikeEngine",
     "PageRankSolver",
-    "SSPParameterServer",
-    "SSPStats",
     "Solver",
     "SSSPSolver",
     "WorkStats",

@@ -28,20 +28,6 @@ from repro.obs import phase_counts, render_phase_table
 DELAY_BOUNDS = (1, 256, 65536)
 
 
-def _commit_rate_series(job: TornadoJob, duration: float,
-                        dt: float) -> list[tuple[float, float]]:
-    """Sample (time, commits per second) every ``dt``."""
-    series = []
-    previous = job.total_commits
-    steps = int(round(duration / dt))
-    for _ in range(steps):
-        job.run_for(dt)
-        current = job.total_commits
-        series.append((job.sim.now, (current - previous) / dt))
-        previous = current
-    return series
-
-
 def run_fig8b(scale: Scale = SMALL,
               delay_bounds: tuple[int, ...] = DELAY_BOUNDS,
               duration: float = 3.0, dt: float = 0.25,

@@ -138,11 +138,6 @@ def percentile(values: Iterable[float], q: float = 99.0) -> float:
     return float(np.percentile(data, q))
 
 
-def monotone_decreasing(values: list[float], slack: float = 0.0) -> bool:
-    """True if each value is ≤ the previous (with relative slack)."""
-    return all(b <= a * (1.0 + slack) for a, b in zip(values, values[1:]))
-
-
 def flattens(values: list[float], knee: int,
              early_factor: float = 2.0) -> bool:
     """True if the improvement before ``knee`` dwarfs the one after it."""

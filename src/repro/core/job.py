@@ -206,19 +206,19 @@ class TornadoJob:
         every processor acknowledged the branch's ``StopLoop``.  Acks fire
         at handling time and ``StopLoop`` writes the branch's final store
         segment, so an empty tag means the result is complete.  A master
-        crash clears its outbox, and with it the tag: a crash before the
-        acks return lets the wait end as soon as ``BranchDone`` lands, and
-        the result then lacks the segments of every processor that had not
-        yet handled its ``StopLoop`` (it can be empty).  Raises
-        :class:`QueryError` if admission control sheds the query."""
+        crash clears its outbox, and with it the tag, so the wait does not
+        read the tag while the master is down; the recovered master stops
+        the branch again under the same tag.  Raises :class:`QueryError`
+        if admission control sheds the query."""
         results = self.ingester.results
         rejections = self.ingester.rejections
-        pending = self.master.transport.pending_by_tag
+        master = self.master
+        pending = master.transport.pending_by_tag
 
         def ready() -> bool:
             done = results.get(query_id)
             if done is not None:
-                return not pending.get(done.loop)
+                return not master.down and not pending.get(done.loop)
             return query_id in rejections
 
         self.sim.run_until(ready, max_events=max_events)

@@ -66,6 +66,9 @@ class MasterDurableState:
     next_branch_id: int = 1
     branches: dict[str, BranchRecord] = field(default_factory=dict)
     seen_queries: set[int] = field(default_factory=set)
+    #: Finished branches whose ``StopLoop``s are not all acknowledged yet;
+    #: a restarted master stops them again.
+    unacked_stops: set[str] = field(default_factory=set)
     #: In-flight live migration (None when the layout is settled).
     migration: MigrationRecord | None = None
 
@@ -105,6 +108,10 @@ class Master(Actor):
     def handle(self, message: Any, sender: str) -> float:
         payload = self.transport.on_message(message, sender)
         if payload is None:
+            if self.durable.unacked_stops:
+                # A stop tag that drained was acknowledged everywhere.
+                self.durable.unacked_stops.intersection_update(
+                    self.transport.pending_by_tag)
             return self.config.master_cost
         if isinstance(payload, ProgressReport):
             return self._handle_report(payload)
@@ -292,6 +299,7 @@ class Master(Actor):
                       + self.config.delay_bound)
             self._broadcast(MergeBranch(record.loop, target))
         self._broadcast(StopLoop(record.loop), tag=record.loop)
+        self.durable.unacked_stops.add(record.loop)
         self.trackers.pop(record.loop, None)
         self.transport.send(self.ingester_name, BranchDone(
             loop=record.loop,
@@ -407,6 +415,11 @@ class Master(Actor):
             last = self.manifest.restart_iteration(loop)
             if last >= 0:
                 self._broadcast(IterationTerminated(loop, last))
+        # The crash dropped the outbox, and with it the tag a query's
+        # wait reads: stop every branch whose stops were not all
+        # acknowledged again (a processor acks a repeat and ignores it).
+        for loop in sorted(self.durable.unacked_stops):
+            self._broadcast(StopLoop(loop), tag=loop)
         migration = self.durable.migration
         if migration is not None:
             # Re-drive the in-flight handoff: the notice is idempotent on

@@ -288,10 +288,3 @@ class Envelope:
 @dataclass(frozen=True, slots=True)
 class TransportAck:
     msg_id: int
-
-
-@dataclass(frozen=True, slots=True)
-class Unreliable:
-    """Wrapper for fire-and-forget messages (no retransmission)."""
-
-    payload: Any

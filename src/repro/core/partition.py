@@ -46,11 +46,6 @@ class PartitionScheme:
         #: silently ignored.
         self._migrating: dict[Any, tuple[int, str, str]] = {}
 
-    @property
-    def version(self) -> int:
-        """Backwards-compatible alias for :attr:`epoch`."""
-        return self.epoch
-
     def hash_home(self, vertex_id: Any) -> str:
         """The owner hashing alone would assign (ignoring overrides)."""
         home = self._homes.get(vertex_id)

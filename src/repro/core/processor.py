@@ -24,8 +24,7 @@ from repro.core.messages import (MAIN_LOOP, Acknowledge, ColumnBatch,
                                  PeerRecovered, Prepare,
                                  ProcessorRecovered, ProgressReport,
                                  RecoverLoops, ReleasedUpdate, Repartition,
-                                 StopLoop, Unreliable, VertexInput,
-                                 VertexUpdate)
+                                 StopLoop, VertexInput, VertexUpdate)
 from repro.core.partition import PartitionScheme
 from repro.core.protocol import (CommitUpdate, SendAck, SendPrepare,
                                  VertexProtocol)
@@ -263,8 +262,6 @@ class Processor(Actor):
         not queue behind the continuous approximation work."""
         payload = message
         if isinstance(payload, Envelope):
-            payload = payload.payload
-        elif isinstance(payload, Unreliable):
             payload = payload.payload
         loop = getattr(payload, "loop", None)
         if loop is not None and loop != MAIN_LOOP:

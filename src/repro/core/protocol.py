@@ -170,12 +170,3 @@ class VertexProtocol:
         self.pending_list.clear()
         return actions
 
-    def reset_after_recovery(self, iteration: int) -> None:
-        """Forget in-flight protocol state after a crash; retransmitted
-        PREPAREs will rebuild it."""
-        self.iteration = iteration
-        self.update_time = None
-        self.prepare_list.clear()
-        self.waiting_list.clear()
-        self.pending_list.clear()
-        self.dirty = False

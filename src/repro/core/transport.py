@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Any
 if TYPE_CHECKING:  # annotation-only; the runtime never touches numpy
     import numpy as np
 
-from repro.core.messages import Envelope, TransportAck, Unreliable
+from repro.core.messages import Envelope, TransportAck
 from repro.simulator import Network, Simulator
 
 #: Per-sender dedup window; old entries are evicted FIFO.
@@ -125,9 +125,6 @@ class ReliableEndpoint:
                 self.network.send(self.owner, dst, envelope)
         self.network.send(self.owner, dst, envelope)
 
-    def send_unreliable(self, dst: str, payload: Any) -> None:
-        self.network.send(self.owner, dst, Unreliable(payload))
-
     def _retransmit(self, msg_id: int) -> None:
         entry = self._outbox.get(msg_id)
         if entry is None:
@@ -148,8 +145,6 @@ class ReliableEndpoint:
         if isinstance(message, TransportAck):
             self._settle(message.msg_id)
             return None
-        if isinstance(message, Unreliable):
-            return message.payload
         if isinstance(message, Envelope):
             self.network.send(self.owner, sender,
                               TransportAck(message.msg_id))

@@ -49,23 +49,6 @@ def rmat_edges(n_vertices: int, n_edges: int, rng: np.random.Generator,
     return edges
 
 
-def connected_core(edges: list[tuple[int, int]],
-                   source: int) -> list[tuple[int, int]]:
-    """Edges reachable from ``source`` (useful to make SSSP interesting)."""
-    adjacency: dict[int, list[int]] = {}
-    for u, v in edges:
-        adjacency.setdefault(u, []).append(v)
-    reachable = {source}
-    stack = [source]
-    while stack:
-        vertex = stack.pop()
-        for target in adjacency.get(vertex, []):
-            if target not in reachable:
-                reachable.add(target)
-                stack.append(target)
-    return [(u, v) for u, v in edges if u in reachable]
-
-
 def livejournal_like(n_vertices: int = 2000, n_edges: int = 10000,
                      seed: int = 0,
                      ensure_source: int | None = 0

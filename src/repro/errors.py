@@ -22,10 +22,6 @@ class StorageError(ReproError):
     """The versioned state store rejected an operation."""
 
 
-class ConvergenceError(ReproError):
-    """A loop failed to converge within its iteration budget."""
-
-
 class QueryError(ReproError):
     """A user query could not be answered (unknown branch, not converged...)."""
 

@@ -17,10 +17,8 @@ extraction (:mod:`repro.obs.critical_path`).
 from repro.obs.critical_path import (CriticalPathReport, PathSegment,
                                      WindowPath, extract_critical_path)
 from repro.obs.metrics import (Counter, Gauge, Histogram, MetricsRegistry)
-from repro.obs.report import (phase_counts, render_phase_table,
-                              termination_timeline)
-from repro.obs.trace import (TraceEvent, TraceRecorder, parse_dump,
-                             parse_dump_line)
+from repro.obs.report import phase_counts, render_phase_table
+from repro.obs.trace import TraceEvent, TraceRecorder
 
 __all__ = [
     "Counter",
@@ -33,9 +31,6 @@ __all__ = [
     "TraceRecorder",
     "WindowPath",
     "extract_critical_path",
-    "parse_dump",
-    "parse_dump_line",
     "phase_counts",
     "render_phase_table",
-    "termination_timeline",
 ]

@@ -130,13 +130,6 @@ class CriticalPathReport:
         the wire's, attributed to no actor)."""
         return self._scores("phase", lambda seg: seg.actor)
 
-    def top_link(self) -> tuple[str, str] | None:
-        """The most critical link, ties broken on the link name."""
-        scores = self.link_scores()
-        if not scores:
-            return None
-        return min(scores, key=lambda link: (-scores[link], link))
-
     def to_json(self) -> str:
         """Deterministic JSON encoding of the scores and window stats
         (the CI shape-check surface)."""
@@ -214,9 +207,8 @@ def extract_critical_path(events: TraceRecorder | Iterable[TraceEvent],
     """Extract per-iteration transient critical paths for ``loop``.
 
     ``events`` is a :class:`~repro.obs.trace.TraceRecorder` or any
-    iterable of :class:`~repro.obs.trace.TraceEvent` (e.g. the parsed
-    lines of a saved dump).  Communication edges require the
-    trace to contain ``net.send`` events — run the job with
+    iterable of :class:`~repro.obs.trace.TraceEvent`.  Communication
+    edges require the trace to contain ``net.send`` events — run the job with
     ``TornadoConfig(trace_enabled=True, trace_links=True)``; without
     them the path never leaves the anchor's actor.
     """

@@ -52,10 +52,6 @@ class Gauge:
     def inc(self, amount: float = 1.0) -> None:
         self.set(self.value + amount)
 
-    def dec(self, amount: float = 1.0) -> None:
-        self.set(self.value - amount)
-
-
 class Histogram:
     """Fixed-bucket histogram of observed values."""
 

@@ -23,9 +23,8 @@ def phase_counts(recorder: TraceRecorder | Iterable[TraceEvent],
     """Protocol-phase event counts keyed by ``(loop, iteration)``.
 
     Accepts a live :class:`TraceRecorder` or any iterable of
-    :class:`TraceEvent` (e.g. a saved dump read back with
-    :func:`~repro.obs.trace.parse_dump`).  Loop names are only unique
-    *within* one recorder's stream, so count one job's events at a time.
+    :class:`TraceEvent`.  Loop names are only unique *within* one
+    recorder's stream, so count one job's events at a time.
 
     Only events still retained by the ring are counted; under sustained
     load the table therefore describes the *recent* window, which is what
@@ -71,16 +70,3 @@ def render_phase_table(recorder: TraceRecorder,
                  for row in rows)
     return "\n".join(lines)
 
-
-def termination_timeline(recorder: TraceRecorder, loop: str | None = None
-                         ) -> list[tuple[str, int, float]]:
-    """(loop, iteration, virtual time) for every recorded iteration
-    termination, in record order — the frontier's timeline."""
-    out = []
-    for event in recorder.select(category="progress", name="terminated"):
-        event_loop = str(event.field("loop"))
-        if loop is not None and event_loop != loop:
-            continue
-        out.append((event_loop, int(event.field("iteration")),
-                    event.time))
-    return out

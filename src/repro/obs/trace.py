@@ -214,33 +214,3 @@ class TraceRecorder:
                           sort_keys=True, separators=(",", ":"),
                           default=str)
 
-    def write_chrome_trace(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(self.chrome_trace_json())
-
-
-def parse_dump_line(line: str) -> TraceEvent:
-    """Parse one canonical dump line (see :meth:`TraceEvent.line`) back
-    into a :class:`TraceEvent`.  Field values come back as strings —
-    coerce at the use site (``int(event.field("iteration"))``).  Only
-    round-trips values whose text form contains no spaces, which holds
-    for every event the runtime records."""
-    parts = line.split(" ")
-    if len(parts) < 4 or "." not in parts[2]:
-        raise ValueError(f"not a trace dump line: {line!r}")
-    category, name = parts[2].split(".", 1)
-    fields = []
-    for part in parts[4:]:
-        key, sep, value = part.partition("=")
-        if not sep:
-            raise ValueError(f"malformed field {part!r} in {line!r}")
-        fields.append((key, value))
-    return TraceEvent(time=float(parts[1]), seq=int(parts[0]),
-                      category=category, name=name,
-                      actor="" if parts[3] == "-" else parts[3],
-                      fields=tuple(fields))
-
-
-def parse_dump(dump: str) -> list[TraceEvent]:
-    """Parse a full :meth:`TraceRecorder.dump` blob."""
-    return [parse_dump_line(line) for line in dump.split("\n") if line]

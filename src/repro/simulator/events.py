@@ -193,11 +193,6 @@ class EventQueue:
             self._cancelled -= 1
         return None
 
-    def peek_time(self) -> float | None:
-        """Time of the next pending event without removing it."""
-        head = self.peek()
-        return None if head is None else head.time
-
     # -------------------------------------------------------- cancellation
     def _on_cancel(self, event: Event) -> None:
         if not event._in_heap:

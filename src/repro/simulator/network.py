@@ -49,11 +49,6 @@ class NetworkStats:
         bucket = int(time // self.bucket_width)
         self.remote_buckets[bucket] = self.remote_buckets.get(bucket, 0) + 1
 
-    def peak_messages_per_second(self) -> float:
-        if not self.buckets:
-            return 0.0
-        return max(self.buckets.values()) / self.bucket_width
-
     def peak_remote_messages_per_second(self) -> float:
         """Peak rate over the *fabric* (messages that consume capacity)."""
         if not self.remote_buckets:

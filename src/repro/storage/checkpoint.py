@@ -44,8 +44,3 @@ class CheckpointManifest:
             return max(-1, last + self.planted_restart_skew)
         return last
 
-    def durable_frontier(self, loop: str, processors: list[str]) -> int:
-        """Highest iteration durable on *every* listed processor."""
-        frontiers = [self.flushed.get((loop, processor), -1)
-                     for processor in processors]
-        return min(frontiers) if frontiers else -1

@@ -5,18 +5,14 @@ from repro.streams.model import (ADD_EDGE, ADD_INSTANCE, ADD_POINT,
                                  prefix_at)
 from repro.streams.sampling import (RecencyBiasedBuffer, ReservoirSampler,
                                     sample_is_uniform)
-from repro.streams.windows import sliding_window, tumbling_windows
-from repro.streams.sources import (BurstyRate, PoissonRate, RateSchedule,
-                                   UniformRate, edge_stream, instance_stream,
-                                   point_stream, split_prefix, stream_from)
+from repro.streams.sources import (RateSchedule, UniformRate, edge_stream,
+                                   instance_stream, point_stream, stream_from)
 
 __all__ = [
     "ADD_EDGE",
     "ADD_INSTANCE",
     "ADD_POINT",
     "REMOVE_EDGE",
-    "BurstyRate",
-    "PoissonRate",
     "RateSchedule",
     "RecencyBiasedBuffer",
     "ReservoirSampler",
@@ -28,8 +24,5 @@ __all__ = [
     "point_stream",
     "prefix_at",
     "sample_is_uniform",
-    "split_prefix",
     "stream_from",
-    "sliding_window",
-    "tumbling_windows",
 ]

@@ -1,8 +1,8 @@
 """Stream sources: turn static datasets into timestamped evolving streams.
 
 A source is an iterator of :class:`StreamTuple`.  Timestamps come from a
-:class:`RateSchedule`, so the same dataset can arrive uniformly, in bursts,
-or with Poisson gaps, deterministically per seed.
+:class:`RateSchedule`, so the same dataset arrives at the same instants
+every run.
 """
 
 from __future__ import annotations
@@ -35,39 +35,6 @@ class UniformRate(RateSchedule):
     def timestamps(self, count: int) -> Iterator[float]:
         gap = 1.0 / self.rate
         return (self.start + gap * (i + 1) for i in range(count))
-
-
-class PoissonRate(RateSchedule):
-    """Poisson arrivals with mean ``rate`` items per second."""
-
-    def __init__(self, rate: float, rng: np.random.Generator,
-                 start: float = 0.0) -> None:
-        if rate <= 0:
-            raise ValueError(f"rate must be positive, got {rate}")
-        self.rate = rate
-        self.start = start
-        self._rng = rng
-
-    def timestamps(self, count: int) -> Iterator[float]:
-        gaps = self._rng.exponential(1.0 / self.rate, size=count)
-        return iter(self.start + np.cumsum(gaps))
-
-
-class BurstyRate(RateSchedule):
-    """Items arrive in bursts of ``burst_size`` every ``period`` seconds —
-    models a crawler dumping batches of pages."""
-
-    def __init__(self, burst_size: int, period: float,
-                 start: float = 0.0) -> None:
-        if burst_size <= 0 or period <= 0:
-            raise ValueError("burst_size and period must be positive")
-        self.burst_size = burst_size
-        self.period = period
-        self.start = start
-
-    def timestamps(self, count: int) -> Iterator[float]:
-        for i in range(count):
-            yield self.start + self.period * (1 + i // self.burst_size)
 
 
 def stream_from(items: Iterable[tuple[str, Any, int]],
@@ -117,12 +84,3 @@ def instance_stream(instances: Sequence[Any],
     return stream_from(((ADD_INSTANCE, instance, 1)
                         for instance in instances), schedule)
 
-
-def split_prefix(tuples: Sequence[StreamTuple],
-                 fraction: float) -> tuple[list[StreamTuple],
-                                           list[StreamTuple]]:
-    """Split a stream into the first ``fraction`` of tuples and the rest."""
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError(f"fraction must be in [0, 1], got {fraction}")
-    cut = int(len(tuples) * fraction)
-    return list(tuples[:cut]), list(tuples[cut:])

@@ -1,12 +1,11 @@
-"""Unit tests for the baseline engines and the mini-batch runner."""
+"""Unit tests for the baseline engines."""
 
 import pytest
 
 from repro.algorithms import reference_pagerank, reference_sssp
 from repro.baselines import (KMeansSolver, MemoryBudgetExceeded,
-                             MiniBatchRunner, NaiadLikeEngine,
-                             PageRankSolver, SSSPSolver, graphlab_like,
-                             spark_like)
+                             NaiadLikeEngine, PageRankSolver, SSSPSolver,
+                             graphlab_like, spark_like)
 from repro.datagen import gaussian_mixture, livejournal_like
 from repro.streams import UniformRate, edge_stream, point_stream
 
@@ -99,41 +98,3 @@ class TestNaiadLikeEngine:
     def test_epoch_size_validation(self):
         with pytest.raises(ValueError):
             NaiadLikeEngine(SSSPSolver(0), epoch_size=0)
-
-
-class TestMiniBatchRunner:
-    def test_results_exact_per_epoch(self):
-        edges, tuples = graph_tuples(150, 600, seed=1)
-        runner = MiniBatchRunner(SSSPSolver(0), batch_size=200)
-        epochs = runner.run(tuples)
-        assert len(epochs) == -(-len(tuples) // 200)
-        assert epochs[-1].result == reference_sssp(edges, 0)
-
-    def test_latency_flattens_at_small_batches(self):
-        """Shrinking the batch stops helping once the communication floor
-        dominates (paper Fig. 5a)."""
-        _edges, tuples = graph_tuples(300, 2400, seed=4)
-        p99 = {}
-        for batch in (1200, 300, 40):
-            runner = MiniBatchRunner(SSSPSolver(0), batch_size=batch)
-            runner.run(list(tuples))
-            p99[batch] = runner.latency_percentile(99.0)
-        assert p99[300] < p99[1200]
-        # Going from 300 down to 40 helps far less than 1200 -> 300.
-        first_gain = p99[1200] - p99[300]
-        second_gain = p99[300] - p99[40]
-        assert second_gain < first_gain
-
-    def test_warm_beats_cold(self):
-        _edges, tuples = graph_tuples(200, 1000, seed=5)
-        warm = MiniBatchRunner(SSSPSolver(0), batch_size=250)
-        warm.run(list(tuples), warm=True)
-        cold = MiniBatchRunner(SSSPSolver(0), batch_size=250)
-        cold.run(list(tuples), warm=False)
-        warm_total = sum(e.latency for e in warm.epochs)
-        cold_total = sum(e.latency for e in cold.epochs)
-        assert warm_total < cold_total
-
-    def test_batch_size_validation(self):
-        with pytest.raises(ValueError):
-            MiniBatchRunner(SSSPSolver(0), batch_size=0)

@@ -4,8 +4,7 @@ import json
 
 from repro.bench import harness
 from repro.bench.harness import (ExperimentResult, ShapeCheck, flattens,
-                                 merge_bench_json, monotone_decreasing,
-                                 percentile)
+                                 merge_bench_json, percentile)
 
 
 class TestExperimentResult:
@@ -46,11 +45,6 @@ class TestNumericHelpers:
     def test_percentile(self):
         assert percentile([1.0, 2.0, 3.0], 50.0) == 2.0
         assert percentile([], 99.0) == 0.0
-
-    def test_monotone_decreasing(self):
-        assert monotone_decreasing([3.0, 2.0, 2.0, 1.0])
-        assert not monotone_decreasing([1.0, 2.0])
-        assert monotone_decreasing([1.0, 1.04], slack=0.05)
 
     def test_flattens(self):
         # Big early gains, tiny late gains -> flattened.

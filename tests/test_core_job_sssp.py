@@ -85,6 +85,33 @@ class TestSSSPExactness:
             assert result.loop in processor.loop_archive
         assert distances(result) == reference()
 
+    def test_master_crash_before_stop_acks_keeps_the_result_whole(self):
+        """A master crash right after a branch's StopLoop broadcast clears
+        the tag the wait reads.  The recovered master stops the branch
+        again, and the wait ends only once those stops are acknowledged,
+        so the result equals the fault-free one."""
+        def all_distances(result):
+            return {vid: value.distance
+                    for vid, value in result.values.items()}
+
+        clean = make_job()
+        clean.run_for(2.0)
+        expected = all_distances(clean.wait_for_query(clean.query()))
+
+        job = make_job()
+        job.run_for(2.0)
+        query_id = job.query()
+        master = job.master
+        pending = master.transport.pending_by_tag
+        job.run_until(lambda: any(record.done and record.loop in pending
+                                  for record in master.durable.branches
+                                  .values()))
+        master.fail()
+        job.sim.schedule(0.05, master.recover)
+        result = job.wait_for_query(query_id)
+        assert all_distances(result) == expected
+        assert distances(result) == reference()
+
 
 class TestSSSPEvolution:
     def test_query_after_more_edges(self):

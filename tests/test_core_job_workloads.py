@@ -6,13 +6,13 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.algorithms import (ConnectedComponentsProgram, EdgeStreamRouter,
-                              KMeansProgram, PageRankProgram, StaticRate,
+from repro.algorithms import (EdgeStreamRouter, KMeansProgram,
+                              PageRankProgram, StaticRate,
                               reference_components, reference_kmeans,
                               reference_pagerank, svm_application)
 from repro.algorithms.kmeans import PointRouter
 from repro.algorithms.sgd import PARAM, HingeLoss
-from repro.core import Application, TornadoConfig, TornadoJob
+from repro.core import Application, TornadoConfig, TornadoJob, min_label
 from repro.datagen import gaussian_mixture, higgs_like
 from repro.streams import UniformRate, edge_stream, instance_stream, \
     point_stream
@@ -62,31 +62,31 @@ class TestConnectedComponentsJob:
     EDGES = [(1, 2), (2, 3), (3, 4), (10, 11), (11, 12), (20, 21)]
 
     def test_labels_match_union_find(self):
-        app = Application(ConnectedComponentsProgram(),
-                          EdgeStreamRouter(undirected=True), name="cc")
+        app = Application(min_label(), EdgeStreamRouter(undirected=True),
+                          name="cc")
         job = TornadoJob(app, config())
         job.feed(edge_stream(self.EDGES, UniformRate(rate=1000.0)))
         job.run_for(3.0)
         result = job.query_and_wait()
         expected = reference_components(self.EDGES)
-        labels = {vid: value.label for vid, value in result.values.items()}
+        labels = {vid: value.value for vid, value in result.values.items()}
         assert labels == expected
 
     def test_components_merge_on_new_edge(self):
-        app = Application(ConnectedComponentsProgram(),
-                          EdgeStreamRouter(undirected=True), name="cc")
+        app = Application(min_label(), EdgeStreamRouter(undirected=True),
+                          name="cc")
         job = TornadoJob(app, config())
         job.feed(edge_stream(self.EDGES, UniformRate(rate=1000.0)))
         job.run_for(3.0)
         before = job.query_and_wait()
-        assert before.values[12].label == 10
+        assert before.values[12].value == 10
         bridge = edge_stream([(4, 10)], UniformRate(rate=1000.0,
                                                     start=job.sim.now))
         job.feed(bridge)
         job.run_for(3.0)
         after = job.query_and_wait()
-        assert after.values[12].label == 1
-        assert after.values[21].label == 20  # untouched component
+        assert after.values[12].value == 1
+        assert after.values[21].value == 20  # untouched component
 
 
 class TestKMeansJob:

@@ -17,7 +17,6 @@ class TestPartitionEpochs:
             [(v, "p1") for v in range(10)])
         assert epoch == 1
         assert scheme.epoch == 1
-        assert scheme.version == 1  # legacy alias
         assert all(scheme.owner(v) == "p1" for v in range(10))
 
     def test_single_reassign_bumps_epoch_once(self):

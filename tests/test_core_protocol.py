@@ -173,16 +173,3 @@ class TestDeadlockFreedom:
         y_commit = y.received_ack("x", ack_to_y[0].iteration)
         assert isinstance(y_commit[0], CommitUpdate)
 
-
-class TestRecovery:
-    def test_reset_clears_protocol_state(self):
-        protocol = VertexProtocol("x")
-        protocol.gathered_input(0, changed=True)
-        protocol.try_prepare(clock(), ["a"])
-        protocol.received_prepare("y", Timestamp(50, "p3"))
-        protocol.reset_after_recovery(iteration=6)
-        assert protocol.iteration == 6
-        assert not protocol.preparing
-        assert not protocol.dirty
-        assert protocol.prepare_list == set()
-        assert protocol.pending_list == []

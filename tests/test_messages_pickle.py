@@ -30,8 +30,8 @@ from repro.core.messages import (Acknowledge, BranchDone, ColumnBatch,
                                  PeerRecovered, Prepare, ProcessorRecovered,
                                  ProgressReport, QueryRejected, QueryRequest,
                                  RecoverLoops, ReleasedUpdate, Repartition,
-                                 StopLoop, TransportAck, Unreliable,
-                                 VertexInput, VertexUpdate)
+                                 StopLoop, TransportAck, VertexInput,
+                                 VertexUpdate)
 from repro.live import wire as wire_mod
 from repro.live.wire import (Collect, FetchStore, FinalReport, PeerDown,
                              Shutdown, StoreLoad, StoreWrite, Wire,
@@ -81,7 +81,6 @@ VOCABULARY = [
     Envelope(41, ColumnBatch("main", ((("u",), ("v",), (4,),
                                        (UPDATE.data,)),))),
     TransportAck(41),
-    Unreliable(ProgressReport("main", "proc-0", 1, {}, float("inf"))),
 ]
 
 WIRE_VOCABULARY = [

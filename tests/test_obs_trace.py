@@ -4,9 +4,8 @@ import json
 
 import pytest
 
-from repro.obs import (MetricsRegistry, TraceRecorder, parse_dump,
-                       parse_dump_line, phase_counts, render_phase_table,
-                       termination_timeline)
+from repro.obs import (MetricsRegistry, TraceRecorder, phase_counts,
+                       render_phase_table)
 
 
 class TestTraceRecorder:
@@ -154,45 +153,6 @@ class TestReport:
         assert lines[0].split() == ["loop", "iteration", "updates",
                                     "prepares", "acks", "commits"]
         assert any("branch-1" in line for line in lines)
-
-    def test_termination_timeline(self):
-        timeline = termination_timeline(self.make_recorder())
-        assert timeline == [("main", 0, 0.6)]
-
-
-class TestDumpParsing:
-    """Round trips for the dump grammar."""
-
-    def test_parse_dump_line_round_trip(self):
-        recorder = TraceRecorder()
-        recorder.record(1.25, "net", "send", actor="proc-0",
-                        dst="proc-1", eta=1.5)
-        line = recorder.dump()
-        event = parse_dump_line(line)
-        assert (event.seq, event.time) == (0, 1.25)
-        assert (event.category, event.name) == ("net", "send")
-        assert event.actor == "proc-0"
-        assert event.field("dst") == "proc-1"
-        assert event.line() == line  # byte-identical re-render
-
-    def test_parse_dump_line_empty_actor(self):
-        recorder = TraceRecorder()
-        recorder.record(0.0, "sim", "start")
-        event = parse_dump_line(recorder.dump())
-        assert event.actor == ""
-
-    def test_parse_dump_line_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            parse_dump_line("not a trace line")
-
-    def test_parse_dump_round_trip_preserves_digest(self):
-        recorder = TraceRecorder()
-        for index in range(5):
-            recorder.record(float(index), "protocol", "update",
-                            actor=f"p{index % 2}", loop="main",
-                            iteration=index)
-        replayed = parse_dump(recorder.dump())
-        assert "\n".join(e.line() for e in replayed) == recorder.dump()
 
 
 class TestChromeTraceOrdering:

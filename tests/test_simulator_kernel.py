@@ -38,7 +38,7 @@ class TestEventQueue:
         drop = queue.push(0.5, lambda: None)
         queue.push(2.0, lambda: None)
         drop.cancel()
-        assert queue.peek_time() == 2.0
+        assert queue.peek().time == 2.0
 
     def test_nan_time_rejected(self):
         queue = EventQueue()

@@ -78,7 +78,6 @@ class TestNetwork:
         sim.run()
         assert net.stats.sent == 10
         assert net.stats.delivered == 10
-        assert net.stats.peak_messages_per_second() == 10.0
 
     def test_jitter_is_deterministic_per_seed(self):
         def run(seed):

@@ -515,14 +515,6 @@ class TestCheckpointManifest:
         manifest.record_terminated("main", 4)
         assert manifest.restart_iteration("main") == 7
 
-    def test_durable_frontier_is_min_over_processors(self):
-        manifest = CheckpointManifest()
-        manifest.record_flush("main", "p0", 9)
-        manifest.record_flush("main", "p1", 4)
-        assert manifest.durable_frontier("main", ["p0", "p1"]) == 4
-        assert manifest.durable_frontier("main", ["p0", "p1", "p2"]) == -1
-        assert manifest.durable_frontier("main", []) == -1
-
     def test_restart_iteration_no_terminated_iteration(self):
         # A loop that never terminated an iteration (or was never seen at
         # all) restarts from scratch, even if flushes were recorded.
@@ -531,19 +523,11 @@ class TestCheckpointManifest:
         assert manifest.restart_iteration("main") == -1
         assert manifest.restart_iteration("branch-1") == -1
 
-    def test_durable_frontier_with_never_flushed_processor(self):
-        manifest = CheckpointManifest()
-        manifest.record_flush("main", "p0", 9)
-        # p1 exists in the cluster but has never flushed: the loop-wide
-        # durable frontier collapses to "nothing durable".
-        assert manifest.durable_frontier("main", ["p0", "p1"]) == -1
-
     def test_out_of_order_record_flush_keeps_max(self):
         manifest = CheckpointManifest()
         for iteration in (2, 7, 4, 7, 1):
             manifest.record_flush("main", "p0", iteration)
         assert manifest.flushed[("main", "p0")] == 7
-        assert manifest.durable_frontier("main", ["p0"]) == 7
 
     def test_planted_restart_skew_only_applies_after_termination(self):
         # The test-only mutation must not fire before any iteration has

@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.streams import (ADD_EDGE, REMOVE_EDGE, BurstyRate, PoissonRate,
-                           RecencyBiasedBuffer, ReservoirSampler, UniformRate,
-                           edge_stream, instance_stream, point_stream,
-                           sample_is_uniform, split_prefix)
+from repro.streams import (ADD_EDGE, REMOVE_EDGE, RecencyBiasedBuffer,
+                           ReservoirSampler, UniformRate, edge_stream,
+                           instance_stream, point_stream, sample_is_uniform)
 
 
 class TestRateSchedules:
@@ -17,20 +16,6 @@ class TestRateSchedules:
     def test_uniform_rate_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             UniformRate(rate=0.0)
-
-    def test_poisson_rate_deterministic_per_seed(self):
-        a = list(PoissonRate(2.0, np.random.default_rng(1)).timestamps(10))
-        b = list(PoissonRate(2.0, np.random.default_rng(1)).timestamps(10))
-        assert a == b
-
-    def test_poisson_mean_rate(self):
-        times = list(PoissonRate(10.0,
-                                 np.random.default_rng(0)).timestamps(2000))
-        assert times[-1] == pytest.approx(200.0, rel=0.15)
-
-    def test_bursty_rate_groups(self):
-        times = list(BurstyRate(burst_size=3, period=1.0).timestamps(7))
-        assert times == [1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 3.0]
 
 
 class TestEdgeStream:
@@ -60,14 +45,6 @@ class TestEdgeStream:
         points = point_stream([(0.0, 1.0), (2.0, 3.0)], UniformRate(1.0))
         instances = instance_stream(["i1"], UniformRate(1.0))
         assert len(points) == 2 and len(instances) == 1
-
-    def test_split_prefix(self):
-        stream = edge_stream([(i, i + 1) for i in range(10)],
-                             UniformRate(1.0))
-        head, tail = split_prefix(stream, 0.3)
-        assert len(head) == 3 and len(tail) == 7
-        with pytest.raises(ValueError):
-            split_prefix(stream, 1.5)
 
 
 class TestReservoirSampler:

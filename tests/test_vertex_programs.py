@@ -6,14 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from repro.algorithms import (ConnectedComponentsProgram, KMeansProgram,
-                              PageRankProgram, SSSPProgram, StaticRate)
+from repro.algorithms import (KMeansProgram, PageRankProgram, SSSPProgram,
+                              StaticRate)
 from repro.algorithms.kmeans import SEED_CENTROID, centroid_id, shard_id
 from repro.algorithms.sgd import (PARAM, HingeLoss, Instance, SGDProgram,
                                   sampler_id)
 from repro.core.messages import MAIN_LOOP, branch_name
 from repro.core.vertex import Delta, VertexContext, VertexState
-from repro.errors import ReproError
 from repro.streams.model import ADD_EDGE, ADD_INSTANCE, ADD_POINT, \
     REMOVE_EDGE
 
@@ -147,26 +146,6 @@ class TestPageRankProgram:
     def test_bad_damping_rejected(self):
         with pytest.raises(ValueError):
             PageRankProgram(damping=1.5)
-
-
-class TestConnectedComponentsProgram:
-    def test_label_starts_as_own_id(self):
-        program = ConnectedComponentsProgram()
-        ctx, _ = make_vertex(program, 9)
-        assert ctx.value.label == 9
-
-    def test_smaller_offers_win(self):
-        program = ConnectedComponentsProgram()
-        ctx, _ = make_vertex(program, 9)
-        assert program.gather(ctx, 5, 5)
-        assert not program.gather(ctx, 7, 7)
-        assert ctx.value.label == 5
-
-    def test_deletion_rejected(self):
-        program = ConnectedComponentsProgram()
-        ctx, _ = make_vertex(program, 9)
-        with pytest.raises(ReproError):
-            program.gather(ctx, None, Delta(REMOVE_EDGE, (9, 5, 1)))
 
 
 class TestKMeansProgram:
