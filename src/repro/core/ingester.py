@@ -102,21 +102,21 @@ class Ingester(Actor):
 
     # ------------------------------------------------------------- dispatch
     def handle(self, message: Any, sender: str) -> float:
-        payload = self.transport.on_message(message, sender)
-        if payload is None:
+        transport = self.transport
+        try:
+            payload = transport.on_message(message, sender)
+            if isinstance(payload, BranchDone):
+                self.results[payload.query_id] = payload
+                self.result_times[payload.query_id] = self.sim.now
+            elif isinstance(payload, QueryRejected):
+                self.rejections[payload.query_id] = payload
+            elif isinstance(payload, PeerRecovered):
+                return self._replay_inputs(payload.processor)
+            elif isinstance(payload, tuple) and payload[0] == "ingest":
+                return self._ingest(payload[1])
             return self.config.control_cost
-        if isinstance(payload, BranchDone):
-            self.results[payload.query_id] = payload
-            self.result_times[payload.query_id] = self.sim.now
-            return self.config.control_cost
-        if isinstance(payload, QueryRejected):
-            self.rejections[payload.query_id] = payload
-            return self.config.control_cost
-        if isinstance(payload, PeerRecovered):
-            return self._replay_inputs(payload.processor)
-        if isinstance(payload, tuple) and payload[0] == "ingest":
-            return self._ingest(payload[1])
-        return self.config.control_cost
+        finally:
+            transport.flush_acks()
 
     def _ingest(self, tup: StreamTuple) -> float:
         self.tuples_ingested += 1

@@ -203,9 +203,10 @@ class TornadoJob:
                        max_events: int = 50_000_000) -> QueryResult:
         """Run the simulation until the query's result is ready: its
         branch loop converged (the ingester holds ``BranchDone``) and
-        every processor acknowledged the branch's ``StopLoop``.  Acks fire
-        at handling time and ``StopLoop`` writes the branch's final store
-        segment, so an empty tag means the result is complete.  A master
+        every processor acknowledged the branch's ``StopLoop``.  An ack
+        leaves at the end of the handler call that processed its message,
+        and that call writes the branch's final store segment, so an
+        empty tag means the result is complete.  A master
         crash clears its outbox, and with it the tag, so the wait does not
         read the tag while the master is down; the recovered master stops
         the branch again under the same tag.  Raises :class:`QueryError`

@@ -106,22 +106,25 @@ class Master(Actor):
 
     # ------------------------------------------------------------ dispatch
     def handle(self, message: Any, sender: str) -> float:
-        payload = self.transport.on_message(message, sender)
-        if payload is None:
+        transport = self.transport
+        try:
+            payload = transport.on_message(message, sender)
             if self.durable.unacked_stops:
-                # A stop tag that drained was acknowledged everywhere.
+                # A stop tag that drained was acknowledged everywhere (by
+                # a bare ack or one an envelope carried in).
                 self.durable.unacked_stops.intersection_update(
-                    self.transport.pending_by_tag)
+                    transport.pending_by_tag)
+            if isinstance(payload, ProgressReport):
+                return self._handle_report(payload)
+            if isinstance(payload, QueryRequest):
+                return self._handle_query(payload)
+            if isinstance(payload, ProcessorRecovered):
+                return self._handle_processor_recovered(payload)
+            if isinstance(payload, MigrateDone):
+                return self._handle_migrate_done(payload)
             return self.config.master_cost
-        if isinstance(payload, ProgressReport):
-            return self._handle_report(payload)
-        if isinstance(payload, QueryRequest):
-            return self._handle_query(payload)
-        if isinstance(payload, ProcessorRecovered):
-            return self._handle_processor_recovered(payload)
-        if isinstance(payload, MigrateDone):
-            return self._handle_migrate_done(payload)
-        return self.config.master_cost
+        finally:
+            transport.flush_acks()
 
     # -------------------------------------------------------------- reports
     def _handle_report(self, report: ProgressReport) -> float:

@@ -279,10 +279,14 @@ class RecoverLoops:
 # ------------------------------------------------------------- transport
 @dataclass(frozen=True, slots=True)
 class Envelope:
-    """Reliable-transport wrapper: at-least-once with receiver dedup."""
+    """Reliable-transport wrapper: at-least-once with receiver dedup.
+    ``ack`` is the id of one envelope the sender received from the
+    destination and has not acknowledged yet (0 = none): an ack rides
+    the traffic going back."""
 
     msg_id: int
     payload: Any
+    ack: int = 0
 
 
 @dataclass(frozen=True, slots=True)

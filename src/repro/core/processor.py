@@ -275,16 +275,21 @@ class Processor(Actor):
         return 0
 
     def handle(self, message: Any, sender: str) -> float:
-        payload = self.transport.on_message(message, sender)
-        if payload is None:
-            return self.config.control_cost
-        self._work_since_report = True
-        cost = self._dispatch(payload)
-        if self._session_window:
-            # End of the dispatch window: all session traffic produced
-            # while handling this message goes out, merged and batched.
-            cost += self._flush_window()
-        return cost
+        transport = self.transport
+        try:
+            payload = transport.on_message(message, sender)
+            if payload is None:
+                return self.config.control_cost
+            self._work_since_report = True
+            cost = self._dispatch(payload)
+            if self._session_window:
+                # End of the dispatch window: all session traffic
+                # produced while handling this message goes out, merged
+                # and batched (and carrying the ack owed to its sender).
+                cost += self._flush_window()
+            return cost
+        finally:
+            transport.flush_acks()
 
     def _dispatch(self, payload: Any) -> float:
         if isinstance(payload, VertexInput):
@@ -1470,8 +1475,12 @@ class Processor(Actor):
                 self.manifest.record_flush(loop_name, self.name, iteration)
         if self.down:
             return
+        # A report is state, not an event: it goes on the fabric bare —
+        # no envelope, ack, retransmit timer or dedup entry.  The master
+        # drops a report whose seq is not newer, and the report tick
+        # re-sends the current state, so the tick is its retransmission.
         for report in snapshots:
-            self.transport.send(self.master_name, report)
+            self.network.send(self.name, self.master_name, report)
 
     # ------------------------------------------------------------ recovery
     def on_failure(self) -> None:

@@ -32,9 +32,10 @@ MASTER_CHANNEL = "master"
 
 def passive(watermark: float, unacked: int, buffered: int) -> bool:
     """A processor with no pending work: no vertex update left to commit
-    (watermark ∞), no session message unacknowledged (acks happen at
-    handling time, so an empty outbox means delivered *and* processed)
-    and no update parked by the delay bound."""
+    (watermark ∞), no session message unacknowledged (an ack leaves at
+    the end of the handler call that processed its message — bare or on
+    an envelope going back — so an empty outbox means delivered *and*
+    processed) and no update parked by the delay bound."""
     return math.isinf(watermark) and unacked == 0 and buffered == 0
 
 

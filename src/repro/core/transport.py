@@ -2,11 +2,24 @@
 
 Storm's own acking cannot track Tornado's cyclic, amplifying tuple trees,
 so Tornado tracks message passing itself: every session/control message is
-wrapped in an :class:`Envelope`, the receiver acknowledges on delivery, and
+wrapped in an :class:`Envelope`, the receiver acknowledges it, and
 unacknowledged messages are retransmitted after a timeout.  Receivers
 de-duplicate by ``(sender, msg_id)``; duplicates that slip through a
 receiver restart are rendered harmless by the causality of the iteration
 model and the idempotence of ``gather``.
+
+Acks ride the traffic.  Receiving an envelope records the ack owed to its
+sender; the first envelope the owner sends back to that sender carries it
+(``Envelope.ack``), and the owner's handler ends with one
+:meth:`ReliableEndpoint.flush_acks` call that sends a bare
+:class:`TransportAck` for every ack no envelope carried.  Either way the
+ack leaves at the end of the handler call that processed the message, so
+an empty outbox still means delivered *and* processed.  An envelope that
+carried an ack and is lost takes the ack with it; the original is then
+retransmitted, deduplicated and acknowledged again.
+
+Progress reports do not pass through here: a report is state, not an
+event (``Processor._send_reports``).
 """
 
 from __future__ import annotations
@@ -85,21 +98,31 @@ class ReliableEndpoint:
         #: the quiescence detector to see per-loop in-flight traffic.
         self.pending_by_tag: dict[str, int] = {}
         self._seen: dict[str, OrderedDict[int, None]] = {}
+        #: ``(sender, msg_id)`` of every envelope received in the current
+        #: handler call and not acknowledged yet, in arrival order.
+        self._owed: list[tuple[str, int]] = []
         self.retransmissions = 0
-        self.sent_reliable = 0
 
     # ------------------------------------------------------------- sending
     def send(self, dst: str, payload: Any, tag: str | None = None) -> None:
         """Send with retransmission until acknowledged; an optional
-        ``tag`` groups the message into :attr:`pending_by_tag`."""
+        ``tag`` groups the message into :attr:`pending_by_tag`.  The
+        envelope carries the first ack owed to ``dst``, if any."""
         self._next_id += 1
         msg_id = self._next_id
         self._outbox[msg_id] = (dst, payload)
         if tag is not None:
             self._tags[msg_id] = tag
             self.pending_by_tag[tag] = self.pending_by_tag.get(tag, 0) + 1
-        self.sent_reliable += 1
-        self._transmit(dst, Envelope(msg_id, payload))
+        ack = 0
+        owed = self._owed
+        if owed:
+            for index, (sender, owed_id) in enumerate(owed):
+                if sender == dst:
+                    ack = owed_id
+                    del owed[index]
+                    break
+        self._transmit(dst, Envelope(msg_id, payload, ack))
         # Retransmit timers are almost always cancelled by the ack, so
         # they live on the timer wheel: O(1) schedule, true removal.
         self._timers[msg_id] = self.sim.schedule_timer(
@@ -140,14 +163,14 @@ class ReliableEndpoint:
         """Unwrap a transport-level message.
 
         Returns the application payload to process, or ``None`` when the
-        message was transport housekeeping or a duplicate.
+        message was transport housekeeping or a duplicate.  An envelope,
+        duplicate or not, is owed an ack (see :meth:`flush_acks`); the
+        ack it carries is settled first.
         """
-        if isinstance(message, TransportAck):
-            self._settle(message.msg_id)
-            return None
         if isinstance(message, Envelope):
-            self.network.send(self.owner, sender,
-                              TransportAck(message.msg_id))
+            if message.ack:
+                self._settle(message.ack)
+            self._owed.append((sender, message.msg_id))
             seen = self._seen.setdefault(sender, OrderedDict())
             if message.msg_id in seen:
                 return None
@@ -155,7 +178,22 @@ class ReliableEndpoint:
             while len(seen) > DEDUP_WINDOW:
                 seen.popitem(last=False)
             return message.payload
+        if isinstance(message, TransportAck):
+            self._settle(message.msg_id)
+            return None
         return message
+
+    def flush_acks(self) -> None:
+        """Send a bare ack for every ack owed that no envelope carried.
+        The owner calls this once, at the end of each handler call: the
+        ack leaves at the virtual instant of the handling, after the
+        handler's own sends."""
+        owed = self._owed
+        if owed:
+            send = self.network.send
+            for dst, msg_id in owed:
+                send(self.owner, dst, TransportAck(msg_id))
+            owed.clear()
 
     def purge_unacked(self, dst: str, kinds: tuple[type, ...] = (),
                       predicate: Any = None) -> int:
@@ -201,6 +239,7 @@ class ReliableEndpoint:
         """Drop all transport state (crash semantics)."""
         self._outbox.clear()
         self._seen.clear()
+        self._owed.clear()
         for timer in self._timers.values():
             timer.cancel()
         self._timers.clear()

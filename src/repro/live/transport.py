@@ -74,7 +74,8 @@ def is_payload(wire: Wire) -> bool:
     clears an outbox entry and cancels a timer, which can only make the
     receiver *more* passive — so an ack in flight cannot invalidate a
     convergence decision, and not counting it spares a report per
-    acknowledged message."""
+    acknowledged message.  An ack riding an envelope (``Envelope.ack``)
+    rides a payload frame, which counts as any other."""
     return type(wire.payload) is not TransportAck
 
 

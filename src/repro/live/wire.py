@@ -7,7 +7,8 @@ families travel on the queues:
 
 * :class:`Wire` wraps one actor-bound protocol message from
   ``core/messages.py`` (usually a transport ``Envelope`` or
-  ``TransportAck``) with its source, destination and the sender's Lamport
+  ``TransportAck``, or a bare ``ProgressReport``) with its source,
+  destination and the sender's Lamport
   stamp; the receiver merges the stamp into its own clock, which yields
   the virtual ordering the flight recorder stamps events with.  A
   session envelope's payload is usually a ``ColumnBatch`` — session

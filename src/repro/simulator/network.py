@@ -28,21 +28,15 @@ class LinkStats:
 
 @dataclass
 class NetworkStats:
-    """Aggregate traffic counters plus a per-bucket time series used for
-    messages-per-second measurements."""
+    """Aggregate traffic counters plus a per-bucket time series of fabric
+    messages used for messages-per-second measurements."""
 
     sent: int = 0
     delivered: int = 0
     dropped: int = 0
     remote_sent: int = 0
     bucket_width: float = 1.0
-    buckets: dict[int, int] = field(default_factory=dict)
     remote_buckets: dict[int, int] = field(default_factory=dict)
-
-    def record_sent(self, time: float) -> None:
-        self.sent += 1
-        bucket = int(time // self.bucket_width)
-        self.buckets[bucket] = self.buckets.get(bucket, 0) + 1
 
     def record_remote(self, time: float) -> None:
         self.remote_sent += 1
@@ -172,7 +166,7 @@ class Network:
         modelled delay.  Messages to a crashed actor are silently lost, as
         on a real network."""
         now = self.sim.now
-        self.stats.record_sent(now)
+        self.stats.sent += 1
         if self.sim.trace.enabled:
             link = self._link(src, dst)
             link.sent += 1

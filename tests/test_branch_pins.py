@@ -206,37 +206,37 @@ CASES = {
 
 PINS: dict[str, tuple[str, int, str]] = {
     "kmeans_always": (
-        "c4a46b6a26537b60c85690edca779a08708c94eabfc76588e290c5c3089f3004",
-        15039,
-        "0c5afcea165360b72e1c288ba0d44823f55c809337fbb4dda4b93a991c3e7d17"),
+        "bb1b0be6054fd0c294c176a16593967b9ac09c76679584eedc025dbc9ec4bd67",
+        10517,
+        "5e3daaee29edde26927f45a0348f773f23b60639c1cf208151c51374a1ad17a2"),
     "pagerank_always": (
-        "5e9de7ba869e2e107842b304b436f2d9faacea536361240c90b589490d2d0da2",
-        22378,
-        "9e1bd06ef0a810fa0c2f3a7b1d4c25f9906c47bc512002411028c88c7dcfddb5"),
+        "cc149d0bb996efad3649d3968c24a04fc587d1d82c782aefa794ab144c8e2a64",
+        12720,
+        "248a15c733d90dc172c535eefd3958efc2f60bea6689fb75ad46fc83837ba1b6"),
     "pagerank_kill": (
-        "a97c489165c3adec8abfaa61279babb234161c0034945d60ee37f8ef9135d21a",
-        39066,
-        "cab3353fb3594a5df5efa60b2a18cc314977dc4dc06069c4e142995decadb887"),
+        "59db9b4489a5b92d8cb36724d92717082583f0d5a167d73a53491e230d727fe9",
+        28918,
+        "9e30b671ea33179b545225fc22b2282492ef922706e00cbd487f690effd9b5ef"),
     "sssp_always": (
-        "eb1b07e746a8d910f5f2047a1e876cdce87e79477ae677e84a0afb52afe3e514",
-        30827,
-        "a2e0e94e76013e0117e69ea4bad829c489fd84808108279240e6640d797e8e04"),
+        "b35650761ab9c0891abb78efe13a07e8582b88377155d11057f5f0b59c40bb35",
+        24943,
+        "ddd4d601ea0916b5b0e8483b136d7b68dfda2783dd20b15461d244193f6c3ba5"),
     "sssp_batch_always": (
-        "46b3dae797eeafaaf58c5549c4b7be4b896859a81aa2429088d6618817f543e4",
-        16686,
-        "03d01e0babdc3e4e6e9a6147d0301a739c8bf41c056118a497d8c66f04d3f757"),
+        "72bd6882bc25ee1b7d7a47ddb5ab0d9a8e7578a14c46619e991d90dde16e459f",
+        12881,
+        "e097a97792eff1086cc2c158c7ce52eef652f82d93fcd160d7c1806dcb935908"),
     "sssp_batch_kill": (
-        "80f609e16131e44b14442beb06e741fc3299da4e8e62f113e867bffb449830ad",
-        16298,
+        "2100d68290f68f3a405826361fd70d500880466b73491eb7fa529634c72ab99d",
+        12290,
         "cecd633ec070f71444210b5ef61f0cb8da36276c00011af5e2fda16287265a0e"),
     "sssp_if_quiescent": (
-        "444f38348a912e47203012c76dbf8a59f0f1d62f6586ea07cecf2f095d4e1135",
-        32812,
-        "e8cb87be2610dcd4ad535d62c609ffd82c7a81c2aeac0059dca0becb91472998"),
+        "bd5d7a95aae91bbaa6be914f6752e206955a395db3910aae280a7126305c1da6",
+        25372,
+        "b362350e112778a8187887fe5d4cbb21eaf6ad355f1922bb68e5aa5f8c45adfd"),
     "svm_always": (
-        "ce19c99a276fdcf5dd67aa88fe3d7537163ed9e73e9a3da07af64b0314f43690",
-        78434,
-        "a2526d90ea75dd66ac39729a92cb5c0f81587fd6d9261cd6637212d1169cac20"),
+        "bc9449d3cf4fce2aa2cd287681e79cbb6c4206be9e304cff09ae68eed285dd56",
+        54704,
+        "bac61ca3d0b13600ec98e08fb9f2cbc221bf0742c9fea1b0fa512615157b8330"),
 }
 
 

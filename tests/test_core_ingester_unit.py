@@ -22,6 +22,7 @@ class Sink(Actor):
         payload = self.transport.on_message(message, sender)
         if payload is not None:
             self.received.append(payload)
+        self.transport.flush_acks()
         return 0.0
 
     def of_type(self, kind):

@@ -158,8 +158,8 @@ class TestSGDJob:
         weights = job.query_and_wait().values[PARAM].weights
         digest = hashlib.sha256(weights.tobytes()).hexdigest()
         assert (digest, job.sim.events_processed) == (
-            "f6cc157b548c1b5eae3e22b74ea5a7d95ef57c3de7dc7f63eefa6e4365172a1e",
-            76856)
+            "bf369a08a83f1c8fbaf70693a7314d9c3586a87475ca3ec7df68f7f0e2a40e0b",
+            30244)
 
     def test_main_loop_approximation_learns(self):
         """The main loop's mini-batch SGD alone reaches a decent model —

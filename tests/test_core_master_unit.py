@@ -25,6 +25,7 @@ class StubProcessor(Actor):
         payload = self.transport.on_message(message, sender)
         if payload is not None:
             self.received.append(payload)
+        self.transport.flush_acks()
         return 0.0
 
     def of_type(self, kind):

